@@ -143,8 +143,8 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 
 std::vector<std::string> VerifyRequest::validate() const {
   // The single choke point: the engine knobs' own validation. Session knobs
-  // are self-clamping by construction (cluster_by_cone_overlap treats
-  // max_cluster_size 0 as 1; non-positive overlap disables clustering).
+  // are valid by construction (any worker count runs; a non-positive batch
+  // budget means none).
   return options.validate();
 }
 
@@ -209,8 +209,6 @@ json::Value VerifyRequest::to_json() const {
   o.set("options", std::move(opt));
 
   Value sess = Value::object();
-  sess.set("cluster-overlap", cluster_overlap);
-  sess.set("max-cluster", max_cluster_size);
   sess.set("workers", session_workers);
   sess.set("batch-budget-ms", batch_budget_ms);
   sess.set("reuse", reuse);
@@ -344,11 +342,7 @@ bool parse_session(const json::Value& v, VerifyRequest* out,
   }
   for (const auto& [key, val] : v.members()) {
     const std::string ctx = "session." + key;
-    if (key == "cluster-overlap") {
-      if (!want_double(val, ctx, &out->cluster_overlap, error)) return false;
-    } else if (key == "max-cluster") {
-      if (!want_size(val, ctx, &out->max_cluster_size, error)) return false;
-    } else if (key == "workers") {
+    if (key == "workers") {
       if (!want_size(val, ctx, &out->session_workers, error)) return false;
     } else if (key == "batch-budget-ms") {
       if (!want_double(val, ctx, &out->batch_budget_ms, error)) return false;
@@ -453,7 +447,6 @@ json::Value VerifyResponse::to_json() const {
   }
   o.set("design_hash", design_hash);
   o.set("properties", properties);
-  o.set("clusters", clusters);
   Value verdicts = Value::object();
   verdicts.set(to_string(Verdict::Holds), holds);
   verdicts.set(to_string(Verdict::Fails), fails);
@@ -465,8 +458,6 @@ json::Value VerifyResponse::to_json() const {
     Value e = Value::object();
     e.set("name", r.name);
     e.set("verdict", r.verdict);
-    e.set("cluster", r.cluster);
-    e.set("clustered", r.clustered);
     e.set("order_seeded", r.order_seeded);
     e.set("seeded_registers", r.seeded_registers);
     e.set("iterations", r.iterations);
@@ -532,8 +523,6 @@ bool VerifyResponse::from_json(const json::Value& v, VerifyResponse* out,
     } else if (key == "properties") {
       if (!want_size(val, "'properties'", &out->properties, error))
         return false;
-    } else if (key == "clusters") {
-      if (!want_size(val, "'clusters'", &out->clusters, error)) return false;
     } else if (key == "verdicts") {
       if (!val.is_object()) {
         *error = "'verdicts' must be an object";
@@ -568,10 +557,6 @@ bool VerifyResponse::from_json(const json::Value& v, VerifyResponse* out,
             if (!want_string(rv, ctx, &r.name, error)) return false;
           } else if (rk == "verdict") {
             if (!want_string(rv, ctx, &r.verdict, error)) return false;
-          } else if (rk == "cluster") {
-            if (!want_size(rv, ctx, &r.cluster, error)) return false;
-          } else if (rk == "clustered") {
-            if (!want_bool(rv, ctx, &r.clustered, error)) return false;
           } else if (rk == "order_seeded") {
             if (!want_bool(rv, ctx, &r.order_seeded, error)) return false;
           } else if (rk == "seeded_registers") {
@@ -749,8 +734,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
 
   SessionOptions sopt;
   sopt.defaults = req.options;
-  sopt.cluster_overlap = req.cluster_overlap;
-  sopt.max_cluster_size = req.max_cluster_size;
   sopt.workers = req.session_workers;
   sopt.batch_budget_ms = req.batch_budget_ms;
   sopt.reuse = req.reuse;
@@ -770,7 +753,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   VerifySession session(design.netlist, sopt);
   out->results = session.run(props);
   out->seconds = watch.seconds();
-  out->clusters = session.clusters().size();
 
   // Certification happens before the batch summary is rendered so the
   // summary's metrics dump includes the checker's work — the ordering the
@@ -800,7 +782,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
         sink->record(property_json(r));
     for (const CertificateRecord& rec : out->cert_records)
       sink->record(certificate_json(rec));
-    sink->record(batch_summary_json(out->results, out->clusters, out->seconds,
+    sink->record(batch_summary_json(out->results, out->seconds,
                                     &out->baseline,
                                     do_certify ? &out->cert_records : nullptr));
   }
@@ -810,7 +792,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   resp.ok = true;
   resp.design_hash = design.hash_hex;
   resp.properties = out->results.size();
-  resp.clusters = out->clusters;
   resp.seconds = out->seconds;
   for (const PropertyResult& r : out->results) {
     switch (r.verdict) {
@@ -822,8 +803,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     PropertyVerdict pv;
     pv.name = r.name;
     pv.verdict = to_string(r.verdict);
-    pv.cluster = r.cluster;
-    pv.clustered = r.clustered;
     pv.order_seeded = r.order_seeded;
     pv.seeded_registers = r.seeded_registers;
     pv.iterations = r.stats.iterations;

@@ -83,8 +83,7 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///    "options":{"time-limit":..,"max-iterations":..,"traces":..,
 ///               "workers":..,"engines":["bdd",..],"approx-fallback":..,
 ///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
-///    "session":{"cluster-overlap":..,"max-cluster":..,"workers":..,
-///               "batch-budget-ms":..,"reuse":..,"batch":..},
+///    "session":{"workers":..,"batch-budget-ms":..,"reuse":..,"batch":..},
 ///    "certify":..,"inline-certificates":..}
 ///
 /// Every field except "type"/"version"/"design" is optional and defaults as
@@ -102,8 +101,6 @@ struct VerifyRequest {
   /// validation choke point for them (called from validate() below).
   RfnOptions options;
   // Session knobs (SessionOptions sans defaults/hooks).
-  double cluster_overlap = 0.5;
-  size_t max_cluster_size = 4;
   size_t session_workers = 0;
   double batch_budget_ms = -1.0;
   bool reuse = true;
@@ -129,8 +126,6 @@ struct VerifyRequest {
 struct PropertyVerdict {
   std::string name;
   std::string verdict;  // "T" | "F" | "?" | "resource-out"
-  size_t cluster = 0;
-  bool clustered = false;
   bool order_seeded = false;
   size_t seeded_registers = 0;
   size_t iterations = 0;
@@ -161,11 +156,11 @@ struct WarmCacheInfo {
 ///
 ///   {"type":"response","version":"rfn-resp-v1","id":"..","ok":..,
 ///    ["error":"..","reject_reason":"..",]              // failures only
-///    "design_hash":"..","properties":..,"clusters":..,
+///    "design_hash":"..","properties":..,
 ///    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
-///    "results":[{"name":..,"verdict":..,"cluster":..,"clustered":..,
-///                "order_seeded":..,"seeded_registers":..,"iterations":..,
-///                "seconds":..,"note":..}],
+///    "results":[{"name":..,"verdict":..,"order_seeded":..,
+///                "seeded_registers":..,"iterations":..,"seconds":..,
+///                "note":..}],
 ///    ["certificates":{"ok":..,"failed":..[,"docs":[..]]},]  // certify only
 ///    "warm_cache":{"enabled":..,"hit":..,"hits":..,"misses":..,
 ///                  "evictions":..,"entries":..,"bytes":..,
@@ -182,7 +177,6 @@ struct VerifyResponse {
   std::string reject_reason;
   std::string design_hash;
   size_t properties = 0;
-  size_t clusters = 0;
   size_t holds = 0, fails = 0, unknown = 0, resource_out = 0;
   std::vector<PropertyVerdict> results;
   bool certified = false;
@@ -230,7 +224,6 @@ struct RunOutput {
   /// Parallel arrays: one record + artifact per certified property.
   std::vector<CertificateRecord> cert_records;
   std::vector<CertificateArtifact> cert_artifacts;
-  size_t clusters = 0;
   double seconds = 0.0;
   /// Metrics snapshot taken when the run started (scopes the batch-summary
   /// metrics dump and the CLI's --prof-json epilogue).

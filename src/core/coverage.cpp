@@ -106,6 +106,15 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     const Subcircuit sub = extract_abstract_model(m, roots, included);
 
     BddMgr mgr;
+    // Flushes this iteration's manager stats into the registry exactly once,
+    // on every exit path (the manager dies with the iteration), as
+    // run_property does.
+    struct PublishOnExit {
+      explicit PublishOnExit(const BddMgr& m) : mgr(m) {}
+      PublishOnExit(const PublishOnExit&) = delete;
+      ~PublishOnExit() { publish_bdd_metrics(mgr.stats()); }
+      const BddMgr& mgr;
+    } publish(mgr);
     Encoder enc(mgr, sub.net);
     if (!saved_order.empty()) apply_saved_order(mgr, enc, sub, saved_order);
     mgr.set_auto_reorder(opt.dynamic_reordering);

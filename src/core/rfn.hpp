@@ -235,8 +235,8 @@ struct RfnResult {
 /// Single-property compatibility wrapper over the session engine
 /// (run_property in core/session.hpp). Kept as the stable entry point for
 /// one-off verification; batches of properties on one design should go
-/// through VerifySession, which adds cone clustering and cross-property
-/// reuse on top of the same engine.
+/// through VerifySession, which runs each property solo on the same engine
+/// and adds fair-share budgets and cross-property reuse of solver state.
 class RfnVerifier {
  public:
   /// `bad` is a signal of `m`; the property is "bad never becomes 1 in any

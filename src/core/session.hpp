@@ -1,33 +1,31 @@
 #pragma once
 // Batch verification sessions: many unreachability properties of one design
-// answered by one stateful run (the paper's industrial workload — Table 1
-// verifies whole property suites on a single gate-level netlist).
+// answered by one call (the paper's industrial workload — Table 1 verifies
+// whole property suites on a single gate-level netlist).
 //
 // A VerifySession accepts a design plus a list of PropertyRequests and
-// returns per-property PropertyResults. Internally it:
+// returns per-property PropertyResults. Every property runs solo: one
+// abstraction-refinement run (run_property) on the session's design, whose
+// abstraction grows from that property's own fanin, as in the paper (Table 1:
+// mutex ends at 21 registers, error_flag at 8). Properties share solver
+// state, never runs:
 //
-//   1. computes each property's register cone (coi_registers) and greedily
-//      clusters properties whose cones overlap above a Jaccard threshold;
-//   2. answers each cluster through ONE abstraction-refinement run on the
-//      design extended with a disjunction root "any member fails"
-//      (append_disjunction): a Holds there proves every member; a Fails is
-//      attributed to the members whose bad signal the concrete error trace
-//      raises (3-valued replay) and the cluster re-runs on the rest; an
-//      inconclusive run falls back to independent per-property runs;
-//   3. carries a cross-property ReuseCache inside each cluster — memoized
-//      subcircuit extraction keyed by (roots, register set), the final BDD
-//      variable order of property k seeding property k+1's first manager,
-//      and the crucial registers that mattered for property k seeding
-//      property k+1's initial abstraction. The cache carries *hints* only
-//      (orders, refinement seeds), never verdicts, so disabling it can only
-//      change wall time, not results;
-//   4. schedules cluster jobs across util/executor with fair-share wall/BDD
-//      budgets per property (enforced by the per-run resource watchdog), so
+//   1. each property job carries a ReuseCache — memoized subcircuit
+//      extraction keyed by (roots, register set), pooled incremental SAT BMC
+//      instances, the final BDD variable order of the previous run, and the
+//      crucial registers earlier runs refined with, which seed the next
+//      run's initial abstraction. A job gets a fresh cache unless the caller
+//      hands in a warm one (SessionOptions::shared_cache, the server's
+//      per-design entry), which then carries from property to property and
+//      from request to request. The cache carries *hints* only (orders,
+//      refinement seeds, learned clauses), never verdicts, so disabling it
+//      can only change wall time, not results;
+//   2. property jobs run across util/executor with a fair-share wall
+//      budget per property (enforced by the per-run resource watchdog), so
 //      one hard property cannot starve the batch.
 //
 // RfnVerifier (core/rfn.hpp) is the single-request compatibility wrapper
-// over run_property(), the one-property engine that also powers every
-// cluster job here.
+// over run_property(), the one-property engine behind every session job.
 
 #include <functional>
 #include <memory>
@@ -54,8 +52,7 @@ struct PropertyRequest {
   /// Property signal of the session's design.
   GateId bad = kNullGate;
   /// Per-property overrides on top of SessionOptions::defaults; unset
-  /// fields inherit. A property with any override set is never clustered
-  /// (it runs solo), so the override applies to exactly this property.
+  /// fields inherit.
   struct Overrides {
     std::optional<double> time_limit_s;
     std::optional<size_t> max_iterations;
@@ -78,16 +75,9 @@ struct PropertyResult {
   Verdict verdict = Verdict::Unknown;
   /// Error trace on the session's design (Fails only).
   Trace trace;
-  /// The full run record behind the verdict. For a property answered by a
-  /// cluster's shared run this describes that shared run (its iterations,
-  /// budget trip, metrics baseline); wall time of the run, not of the
-  /// property alone.
+  /// The full record of this property's own run (iterations, budget trip,
+  /// metrics baseline).
   RfnResult stats;
-  /// Index of the cone cluster the property was grouped into.
-  size_t cluster = 0;
-  /// True when the verdict came from the cluster's shared disjunction run;
-  /// false for solo and fallback runs.
-  bool clustered = false;
   /// Reuse-cache effects: whether this run's first BDD manager was seeded
   /// with an earlier property's variable order, and how many crucial-
   /// register hints from earlier properties seeded the initial abstraction.
@@ -100,18 +90,12 @@ struct ReuseCache;
 struct SessionOptions {
   /// Baseline RfnOptions each property run starts from.
   RfnOptions defaults;
-  /// Cluster two properties when the Jaccard overlap of their register
-  /// cones reaches this threshold; <= 0 disables clustering (every property
-  /// runs solo), > 1 can never trigger.
-  double cluster_overlap = 0.5;
-  /// Upper bound on properties answered by one disjunction run.
-  size_t max_cluster_size = 4;
-  /// Worker threads running cluster jobs concurrently (0 = inline,
-  /// deterministic cluster order). Independent of the per-run
-  /// RfnOptions::portfolio_workers engine races.
+  /// Worker threads running property jobs concurrently (0 = inline, in
+  /// request order). Independent of the per-run RfnOptions::
+  /// portfolio_workers engine races.
   size_t workers = 0;
   /// Whole-batch wall budget, split fair-share across properties: each
-  /// cluster run gets (budget / #properties) * #members, enforced through
+  /// property run gets budget / #properties, enforced through
   /// the per-run resource watchdog, so one hard property cannot starve the
   /// batch. <= 0: no batch budget (defaults.budget_ms still applies per
   /// run).
@@ -121,26 +105,26 @@ struct SessionOptions {
   /// so this is a performance switch, not a soundness one.
   bool reuse = true;
   /// Invoked once per property, as its result is finalized (completion
-  /// order, which for workers == 0 is cluster order, not request order).
+  /// order, which for workers == 0 is request order).
   /// Runs under the session's emission mutex, so the callback itself needs
   /// no locking. This is how rfn_serve streams rfn-trace-v2 property
   /// records mid-run; null keeps the historical collect-then-report shape.
   std::function<void(const PropertyResult&)> on_property;
-  /// Cross-request warm state (the server's per-design cache entry): the
-  /// session reads and writes this ReuseCache instead of a per-cluster one,
-  /// so SavedOrder / SatBmcPool / SubcircuitMemo survive into the next
-  /// session on the same design. Honored only when workers == 0 (the memo,
-  /// pool, and order are single-threaded by design); runs on augmented
-  /// disjunction copies still use cluster-local memo/pool — their netlists
-  /// die with the cluster, and a pooled SatBmc must never outlive the
-  /// netlist it references. The caller must construct every warmed session
-  /// over the SAME Netlist instance (pool entries are keyed by address).
+  /// Cross-request warm state (the server's per-design cache entry): every
+  /// property job reads and writes this ReuseCache instead of a fresh
+  /// per-property one, so SavedOrder / SatBmcPool / SubcircuitMemo and the
+  /// crucial-register hints carry from property to property and survive
+  /// into the next session on the same design. Honored only when
+  /// workers == 0 (the memo, pool, and order are single-threaded by design).
+  /// The caller must construct every warmed session over the SAME Netlist
+  /// instance (pool entries are keyed by address).
   ReuseCache* shared_cache = nullptr;
 };
 
 /// Memoized subcircuit extraction keyed by (property roots, included
-/// register set). Single-threaded by design: each cluster job owns one
-/// cache; caches are never shared across executor threads.
+/// register set). Single-threaded by design: a cache is owned by one
+/// property job, or handed from job to job by an inline session; caches are
+/// never shared across executor threads.
 class SubcircuitMemo {
  public:
   /// Returns the memoized extraction for (roots, included) or runs
@@ -168,14 +152,14 @@ class SubcircuitMemo {
 /// identity. One instance accumulates learned clauses and unrolled frames
 /// across every solve it answers, so handing the same instance to every run
 /// on a design is where the incremental formulation pays off. Like
-/// SubcircuitMemo it is single-threaded by design: each cluster job owns one
-/// pool, and within a run the portfolio's race barrier is the happens-before
-/// edge between uses (same single-owner rule as a BddMgr).
+/// SubcircuitMemo it is single-threaded by design: one property job at a
+/// time owns a pool, and within a run the portfolio's race barrier is the
+/// happens-before edge between uses (same single-owner rule as a BddMgr).
 class SatBmcPool {
  public:
   /// Returns the pooled instance for `m`, creating it on first use. The
-  /// netlist is keyed by address and must stay alive (and only grow — see
-  /// BmcEncoder) for the pool's lifetime.
+  /// netlist is keyed by address and must stay alive, unchanged, for the
+  /// pool's lifetime.
   SatBmc& get(const Netlist& m);
 
   size_t size() const { return map_.size(); }
@@ -189,14 +173,14 @@ class SatBmcPool {
   std::unordered_map<const Netlist*, std::unique_ptr<SatBmc>> map_;
 };
 
-/// Cross-property reuse state carried along one cluster's runs.
+/// Cross-property reuse state: one per property job, or the caller's warm
+/// cache carried across properties and requests.
 struct ReuseCache {
   SubcircuitMemo subcircuits;
-  /// Incremental SAT BMC instances shared across the cluster's runs.
+  /// Incremental SAT BMC instances shared across the runs using the cache.
   SatBmcPool sat_bmc;
-  /// Final variable order of the previous run (original-design ids —
-  /// portable across the augmented and original netlists, whose ids
-  /// coincide).
+  /// Final variable order of the previous run (design-level ids, so it
+  /// carries over between the abstractions of one design).
   SavedOrder order;
   /// Union of crucial registers identified by refinement so far, in
   /// discovery order.
@@ -238,15 +222,6 @@ struct RunHooks {
 RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                        const RunHooks& hooks = {});
 
-/// Greedy cone clustering (exposed for tests): walks properties in index
-/// order, joining property i to the first cluster whose representative
-/// (first member) cone has Jaccard overlap >= threshold, subject to
-/// max_cluster_size; otherwise i starts a new cluster. `cones[i]` must be
-/// sorted. `solo[i]` (optional) forces property i into its own cluster.
-std::vector<std::vector<size_t>> cluster_by_cone_overlap(
-    const std::vector<std::vector<GateId>>& cones, double threshold,
-    size_t max_cluster_size, const std::vector<bool>& solo = {});
-
 class VerifySession {
  public:
   /// `m` must outlive the session.
@@ -257,22 +232,18 @@ class VerifySession {
   /// validate) and aborts with the collected messages on invalid options.
   std::vector<PropertyResult> run(const std::vector<PropertyRequest>& props);
 
-  /// Clusters computed by the last run(): request indices per cluster.
-  const std::vector<std::vector<size_t>>& clusters() const { return clusters_; }
 
  private:
-  void run_cluster(const std::vector<PropertyRequest>& props,
-                   const std::vector<std::vector<GateId>>& cones,
-                   const std::vector<size_t>& members, size_t cluster_id,
-                   double share_ms, std::vector<PropertyResult>& results) const;
+  /// One property job: a solo run_property on the session's design.
+  void run_one(const PropertyRequest& p, double share_ms,
+               PropertyResult& out) const;
 
   /// Fires SessionOptions::on_property under emit_mu_ (no-op when unset).
   void notify(const PropertyResult& r) const;
 
   const Netlist* m_;
   SessionOptions opt_;
-  std::vector<std::vector<size_t>> clusters_;
-  /// Serializes SessionOptions::on_property across cluster jobs.
+  /// Serializes SessionOptions::on_property across property jobs.
   mutable std::mutex emit_mu_;
 };
 

@@ -137,8 +137,6 @@ json::Value property_json(const PropertyResult& r) {
   o.set("name", r.name);
   o.set("bad", static_cast<size_t>(r.bad));
   o.set("verdict", to_string(r.verdict));
-  o.set("cluster", r.cluster);
-  o.set("clustered", r.clustered);
   o.set("order_seeded", r.order_seeded);
   o.set("seeded_registers", r.seeded_registers);
   o.set("iterations", r.stats.iterations);
@@ -173,7 +171,7 @@ json::Value certificate_json(const CertificateRecord& r) {
 }
 
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               size_t num_clusters, double seconds,
+                               double seconds,
                                const MetricsSnapshot* baseline,
                                const std::vector<CertificateRecord>* certificates) {
   using json::Value;
@@ -193,7 +191,6 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
   o.set("type", "batch-summary");
   o.set("trace_version", "rfn-trace-v2");
   o.set("properties", results.size());
-  o.set("clusters", num_clusters);
   Value verdicts = Value::object();
   verdicts.set(to_string(Verdict::Holds), holds);
   verdicts.set(to_string(Verdict::Fails), fails);
@@ -213,7 +210,7 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
 
 void write_batch_trace_json(std::ostream& os,
                             const std::vector<PropertyResult>& results,
-                            size_t num_clusters, double seconds,
+                            double seconds,
                             const MetricsSnapshot* baseline,
                             const std::vector<CertificateRecord>* certificates) {
   for (const PropertyResult& r : results)
@@ -221,9 +218,7 @@ void write_batch_trace_json(std::ostream& os,
   if (certificates != nullptr)
     for (const CertificateRecord& r : *certificates)
       os << certificate_json(r).dump() << "\n";
-  os << batch_summary_json(results, num_clusters, seconds, baseline,
-                           certificates)
-            .dump()
+  os << batch_summary_json(results, seconds, baseline, certificates).dump()
      << "\n";
 }
 

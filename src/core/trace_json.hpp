@@ -42,20 +42,19 @@
 // Batch schema (trace version "rfn-trace-v2", written by the session path):
 //   {"type":"property","name":"..","bad":..,
 //    "verdict":"T|F|?|resource-out",
-//    "cluster":..,"clustered":..,"order_seeded":..,"seeded_registers":..,
+//    "order_seeded":..,"seeded_registers":..,
 //    "iterations":..,"final_abstract_regs":..,"error_trace_cycles":..,
 //    "seconds":..,"cpu_ms":..,"note":"..",
 //    ["budget_trip":{...}]}                                // one per property
 //   {"type":"batch-summary","trace_version":"rfn-trace-v2",
-//    "properties":..,"clusters":..,
+//    "properties":..,
 //    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
 //    "seconds":..,
 //    "metrics":{<MetricsRegistry::to_json(batch baseline)>}}
 //
-// v2 deliberately keeps per-iteration detail out of the property records: a
-// clustered property's verdict comes from a shared run whose iterations are
-// not per-property quantities. A property's "seconds" is the wall time of
-// the run that answered it (shared for clustered members).
+// v2 keeps per-iteration detail out of the property records (the single-run
+// schema above carries it). Every property is answered by its own run, so a
+// property's "iterations", "seconds" and "cpu_ms" are that run's.
 
 #include <ostream>
 #include <vector>
@@ -104,7 +103,7 @@ json::Value certificate_json(const CertificateRecord& r);
 /// write_batch_trace_json ends with; exposed so a streaming emitter
 /// (api::run_verify, rfn_serve) produces the identical bytes.
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               size_t num_clusters, double seconds,
+                               double seconds,
                                const MetricsSnapshot* baseline = nullptr,
                                const std::vector<CertificateRecord>* certificates = nullptr);
 
@@ -117,7 +116,7 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
 /// to the batch.
 void write_batch_trace_json(std::ostream& os,
                             const std::vector<PropertyResult>& results,
-                            size_t num_clusters, double seconds,
+                            double seconds,
                             const MetricsSnapshot* baseline = nullptr,
                             const std::vector<CertificateRecord>* certificates = nullptr);
 

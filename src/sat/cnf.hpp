@@ -12,8 +12,8 @@
 //     consumer);
 //   * width: add_root(g) widens the cone to cover a new root's COI and
 //     back-fills the missing variables/clauses in every existing frame. The
-//     session layer uses this to keep one encoder alive while a batch run
-//     appends disjunction roots to its design.
+//     session layer's SatBmcPool uses this to answer every property of a
+//     design from one encoder.
 //
 // Register semantics carry an *enable assumption literal* per register r:
 //
@@ -44,10 +44,8 @@ namespace rfn::sat {
 
 class BmcEncoder {
  public:
-  /// `m` and `s` must outlive the encoder. The netlist may grow behind the
-  /// encoder's back (append_disjunction on a session's augmented design);
-  /// existing GateIds stay valid and new gates are picked up by the next
-  /// add_root() that needs them.
+  /// `m` and `s` must outlive the encoder, and `m` must not change while
+  /// it does.
   BmcEncoder(const Netlist& m, Solver& s);
 
   /// Ensures `root`'s COI is part of the stable cone, back-filling every

@@ -10,8 +10,10 @@
 #include "core/plain_mc.hpp"
 #include "core/refine.hpp"
 #include "core/rfn.hpp"
+#include "designs/iu.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rfn {
@@ -283,6 +285,22 @@ TEST(Coverage, RefinementTightensClassification) {
   EXPECT_EQ(res.unreachable, 3u);
   EXPECT_GE(res.reachable + res.unknown, 1u);
   EXPECT_EQ(res.state_class[0], 2u);  // (0,0) witnessed reachable
+}
+
+TEST(Coverage, PublishesBddStatsOncePerIteration) {
+  // Every iteration builds one BDD manager; each is flushed into the bdd.*
+  // metrics exactly once, so the coverage path reports BDD effort too.
+  const designs::IuDesign iu = designs::make_iu({});
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  CoverageOptions opt;
+  opt.time_limit_s = 60.0;
+  const CoverageResult res =
+      rfn_coverage_analysis(iu.netlist, iu.coverage_sets[0], opt);
+  const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+  ASSERT_GT(res.iterations, 0u);
+  EXPECT_EQ(after.delta(before).value("bdd.managers"),
+            static_cast<double>(res.iterations));
+  EXPECT_GT(after.value("bdd.peak_live_nodes.max"), 0.0);
 }
 
 TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {

@@ -287,10 +287,20 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
   {
     json::Value v = valid_request_doc();
     json::Value sess = json::Value::object();
-    sess.set("cluster-overlap", "lots");
+    sess.set("workers", "lots");
     v.set("session", std::move(sess));
     bad.push_back(v);
   }
+  {
+    // A retired session key: a stale client must be rejected, not run
+    // with different semantics.
+    json::Value v = valid_request_doc();
+    json::Value sess = json::Value::object();
+    sess.set("cluster-overlap", 0.5);
+    v.set("session", std::move(sess));
+    bad.push_back(v);
+  }
+  const size_t retired_key = bad.size() - 1;
   {
     // No design at all.
     json::Value v = json::Value::object();
@@ -306,6 +316,10 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
     EXPECT_FALSE(api::VerifyRequest::from_json(bad[i], &out, &error))
         << "mutation " << i << " was accepted: " << bad[i].dump();
     EXPECT_FALSE(error.empty()) << "mutation " << i;
+    if (i == retired_key) {
+      EXPECT_NE(error.find("session.cluster-overlap"), std::string::npos)
+          << error;
+    }
   }
 }
 
@@ -632,8 +646,7 @@ TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
   ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
   server.stop();
 
-  // Same verdicts per property, same cluster assignment, regardless of the
-  // emission mode (the server streams in completion order; compare as maps).
+  // Same verdicts per property regardless of the emission mode (the server streams in completion order; compare as maps).
   auto verdicts_of = [](const std::vector<json::Value>& records) {
     std::vector<std::pair<std::string, std::string>> out;
     for (const json::Value& rec : records) {

@@ -1,7 +1,7 @@
 // Batch-session tests: options validation, the consolidated status strings,
-// cone clustering, the subcircuit memo, and — the acceptance check — batch
-// verdicts identical to independent single-property RfnVerifier runs on
-// designs with identical / nested / overlapping / disjoint property cones.
+// the subcircuit memo, and — the acceptance check — batch verdicts
+// identical to independent single-property RfnVerifier runs on designs with
+// identical / nested / overlapping / disjoint property cones.
 
 #include "core/session.hpp"
 
@@ -13,9 +13,8 @@
 #include "core/status.hpp"
 #include "core/trace_json.hpp"
 #include "designs/fifo.hpp"
-#include "designs/iu.hpp"
-#include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
+#include "sim/sim3.hpp"
 
 namespace rfn {
 namespace {
@@ -80,48 +79,6 @@ TEST(StatusStrings, CanonicalSpellings) {
   EXPECT_STREQ(to_string(AtpgStatus::Abort), "abort");
 }
 
-TEST(ConeClustering, JaccardOverlap) {
-  EXPECT_DOUBLE_EQ(jaccard_overlap({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2}, {3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3, 4}, {3, 4, 5, 6}), 2.0 / 6.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3, 4}, {1, 2}), 0.5);  // nested
-}
-
-TEST(ConeClustering, IdenticalNestedOverlappingDisjoint) {
-  const std::vector<std::vector<GateId>> cones = {
-      {1, 2, 3, 4},  // 0
-      {1, 2, 3, 4},  // 1: identical to 0 -> same cluster
-      {1, 2},        // 2: nested in 0, jaccard 0.5 -> joins at threshold
-      {3, 4, 5, 6},  // 3: overlap 2/6 with 0 -> below 0.5, new cluster
-      {7, 8},        // 4: disjoint -> own cluster
-  };
-  const auto clusters = cluster_by_cone_overlap(cones, 0.5, 8);
-  ASSERT_EQ(clusters.size(), 3u);
-  EXPECT_EQ(clusters[0], (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(clusters[1], (std::vector<size_t>{3}));
-  EXPECT_EQ(clusters[2], (std::vector<size_t>{4}));
-}
-
-TEST(ConeClustering, RespectsMaxClusterSizeAndSolo) {
-  const std::vector<std::vector<GateId>> cones = {{1}, {1}, {1}, {1}};
-  const auto capped = cluster_by_cone_overlap(cones, 0.5, 2);
-  ASSERT_EQ(capped.size(), 2u);
-  EXPECT_EQ(capped[0].size(), 2u);
-
-  // A solo-pinned property never joins (or anchors) a shared cluster.
-  const auto pinned =
-      cluster_by_cone_overlap(cones, 0.5, 8, {false, true, false, false});
-  ASSERT_EQ(pinned.size(), 2u);
-  EXPECT_EQ(pinned[0], (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(pinned[1], (std::vector<size_t>{1}));
-}
-
-TEST(ConeClustering, ThresholdZeroDisablesClustering) {
-  const std::vector<std::vector<GateId>> cones = {{1}, {1}, {1}};
-  EXPECT_EQ(cluster_by_cone_overlap(cones, 0.0, 8).size(), 3u);
-}
-
 TEST(SubcircuitMemoTest, HitsOnRepeatedExtraction) {
   NetBuilder b;
   const GateId in = b.input("in");
@@ -146,10 +103,7 @@ TEST(SubcircuitMemoTest, HitsOnRepeatedExtraction) {
 
 // A 3-bit counter that counts 0..5 under an enable and wraps, with one
 // reachable property (cnt == 3) and one unreachable one (cnt == 7). Both
-// cones are the whole counter, so the two properties land in one cluster
-// and exercise the Fails-attribution path: the shared disjunction run finds
-// the cnt == 3 trace, attributes it to bad_a alone, and the re-run on the
-// remainder proves bad_b.
+// cones are the whole counter: identical cones, opposite polarity.
 struct Counter {
   Netlist n;
   GateId bad_a, bad_b;
@@ -173,24 +127,29 @@ Counter make_counter() {
   return c;
 }
 
-TEST(VerifySessionTest, AttributesFailureWithinCluster) {
+TEST(VerifySessionTest, IdenticalConesOppositePolarityRunSolo) {
   const Counter c = make_counter();
   VerifySession session(c.n, {});
   const auto results =
       session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
   ASSERT_EQ(results.size(), 2u);
-  ASSERT_EQ(session.clusters().size(), 1u);  // identical cones
-  EXPECT_EQ(results[0].verdict, Verdict::Fails);
-  EXPECT_EQ(results[1].verdict, Verdict::Holds);
-  EXPECT_TRUE(results[0].clustered);
-  EXPECT_TRUE(results[1].clustered);
   EXPECT_EQ(results[0].name, "bad_a");
   EXPECT_EQ(results[1].name, "bad_b");
-  EXPECT_GT(results[0].trace.cycles(), 0u);
+  EXPECT_EQ(results[0].verdict, Verdict::Fails);
+  EXPECT_EQ(results[1].verdict, Verdict::Holds);
+  // Each record is the property's own run: its verdict, and the iteration
+  // count of an independent run of that property alone.
+  const GateId bads[] = {c.bad_a, c.bad_b};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(results[i].stats.verdict, results[i].verdict);
+    EXPECT_EQ(results[i].stats.iterations,
+              run_property(c.n, bads[i], RfnOptions{}).iterations)
+        << results[i].name;
+  }
+  // The Fails trace drives bad_a itself to 1; the Holds property has none.
+  ASSERT_GT(results[0].trace.cycles(), 0u);
+  EXPECT_EQ(simulate_trace(c.n, results[0].trace, c.bad_a), Tri::T);
   EXPECT_EQ(results[1].trace.cycles(), 0u);
-  // The second round's first BDD manager starts from the first round's
-  // saved variable order.
-  EXPECT_TRUE(results[1].order_seeded);
 }
 
 TEST(VerifySessionTest, DisjointConesRunIndependently) {
@@ -205,11 +164,8 @@ TEST(VerifySessionTest, DisjointConesRunIndependently) {
 
   VerifySession session(m, {});
   const auto results = session.run({{"", r1, {}}, {"", r2, {}}});
-  EXPECT_EQ(session.clusters().size(), 2u);
   EXPECT_EQ(results[0].verdict, Verdict::Fails);
   EXPECT_EQ(results[1].verdict, Verdict::Holds);
-  EXPECT_FALSE(results[0].clustered);
-  EXPECT_FALSE(results[1].clustered);
 }
 
 TEST(VerifySessionTest, OverridesForceSoloRuns) {
@@ -219,10 +175,6 @@ TEST(VerifySessionTest, OverridesForceSoloRuns) {
   pb.overrides.max_iterations = 30;
   VerifySession session(c.n, {});
   const auto results = session.run({pa, pb});
-  // Identical cones, but the override pins b into its own cluster.
-  EXPECT_EQ(session.clusters().size(), 2u);
-  EXPECT_FALSE(results[0].clustered);
-  EXPECT_FALSE(results[1].clustered);
   EXPECT_EQ(results[0].verdict, Verdict::Fails);
   EXPECT_EQ(results[1].verdict, Verdict::Holds);
 }
@@ -231,7 +183,6 @@ TEST(VerifySessionTest, EmptyBatch) {
   const Counter c = make_counter();
   VerifySession session(c.n, {});
   EXPECT_TRUE(session.run({}).empty());
-  EXPECT_TRUE(session.clusters().empty());
 }
 
 TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
@@ -241,59 +192,32 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
   // flags plus their disjunction ("some flag errs"), the composite any-error
   // line testbenches expose.
   designs::FifoDesign fifo = designs::make_fifo({.addr_bits = 2, .data_bits = 2});
-  const GateId any = append_disjunction(
-      fifo.netlist, {fifo.bad_push_full, fifo.bad_push_af, fifo.bad_push_hf},
-      "bad_any");
+  const GateId any = fifo.netlist.add(
+      GateType::Or, {fifo.bad_push_full, fifo.bad_push_af, fifo.bad_push_hf});
   const std::vector<GateId> bads = {fifo.bad_push_full, fifo.bad_push_af,
                                     fifo.bad_push_hf, any};
 
   RfnOptions opt;
   opt.time_limit_s = 60.0;
-  SessionOptions sopt;
-  sopt.defaults = opt;
-  VerifySession session(fifo.netlist, sopt);
   std::vector<PropertyRequest> props;
   for (GateId bad : bads) props.push_back({"", bad, {}});
-  const auto batch = session.run(props);
+  std::vector<Verdict> ref;
+  for (GateId bad : bads)
+    ref.push_back(RfnVerifier(fifo.netlist, bad, opt).run().verdict);
 
-  // The session's clustering must be exactly what the exposed heuristic
-  // computes from the cones.
-  std::vector<std::vector<GateId>> cones;
-  for (GateId bad : bads) {
-    cones.push_back(coi_registers(fifo.netlist, {bad}));
-    std::sort(cones.back().begin(), cones.back().end());
+  // Inline, and with concurrent property jobs.
+  for (size_t workers : {0, 2}) {
+    SessionOptions sopt;
+    sopt.defaults = opt;
+    sopt.workers = workers;
+    VerifySession session(fifo.netlist, sopt);
+    const auto batch = session.run(props);
+    for (size_t i = 0; i < bads.size(); ++i) {
+      EXPECT_EQ(batch[i].verdict, ref[i])
+          << "property " << batch[i].name << ", workers " << workers;
+      EXPECT_EQ(batch[i].verdict, Verdict::Holds);
+    }
   }
-  EXPECT_EQ(session.clusters(),
-            cluster_by_cone_overlap(cones, sopt.cluster_overlap,
-                                    sopt.max_cluster_size,
-                                    std::vector<bool>(bads.size(), false)));
-
-  for (size_t i = 0; i < bads.size(); ++i) {
-    RfnVerifier single(fifo.netlist, bads[i], opt);
-    const RfnResult ref = single.run();
-    EXPECT_EQ(batch[i].verdict, ref.verdict) << "property " << batch[i].name;
-    EXPECT_EQ(batch[i].verdict, Verdict::Holds);
-  }
-}
-
-TEST(VerifySessionTest, IuCoverageRegistersShareOneCluster) {
-  // The IU control is strongly connected: coverage registers from different
-  // sets have identical COIs (designs_test asserts this), so as properties
-  // they must cluster together.
-  const designs::IuDesign iu = designs::make_iu({});
-  std::vector<GateId> bads = {iu.coverage_sets[0][0], iu.coverage_sets[1][0],
-                              iu.coverage_sets[2][0], iu.coverage_sets[3][0]};
-  std::vector<std::vector<GateId>> cones;
-  std::vector<bool> solo(bads.size(), false);
-  for (GateId bad : bads) {
-    cones.push_back(coi_registers(iu.netlist, {bad}));
-    std::sort(cones.back().begin(), cones.back().end());
-  }
-  for (size_t i = 1; i < cones.size(); ++i)
-    EXPECT_DOUBLE_EQ(jaccard_overlap(cones[0], cones[i]), 1.0);
-  const auto clusters = cluster_by_cone_overlap(cones, 0.5, 8, solo);
-  ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].size(), bads.size());
 }
 
 TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
@@ -302,7 +226,7 @@ TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
   const auto results = session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
 
   std::ostringstream os;
-  write_batch_trace_json(os, results, session.clusters().size(), 0.25);
+  write_batch_trace_json(os, results, 0.25);
   std::vector<std::string> lines;
   std::istringstream is(os.str());
   for (std::string line; std::getline(is, line);) lines.push_back(line);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench regression gate for rfn-bench-v1, rfn-corpus, and rfn-prof-v1 JSON.
+"""Bench regression gate for rfn-bench-v1, rfn-corpus-v2, and rfn-prof-v1 JSON.
 
 Bench mode compares a fresh `bench/micro_engines --json` run against the
 checked-in baseline (BENCH_portfolio.json) and exits nonzero when a
@@ -10,25 +10,19 @@ benchmark regressed:
     --node-tolerance (default 10%),
   * or a baseline benchmark is missing from the current run.
 
-It additionally enforces the batch-session invariant on the current run:
-BM_SessionBatchFifo (one VerifySession over the four-property FIFO flag
-suite, whose cones overlap) must finish in less wall time than
-BM_SessionIndependentFifo (the same properties as independent runs) — the
-whole point of batching.
-
 Wall time is noisy on shared CI runners, hence the generous default
 tolerance; the BDD peak-node counter is deterministic for a fixed workload
 and is the gate's sharp edge.
 
 Usage:
-  bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' --json current.json
+  bench/micro_engines --benchmark_filter='Portfolio|SatBmc' --json current.json
   tools/bench_gate.py --baseline BENCH_portfolio.json --current current.json
 
 Re-baselining (after an intentional perf change): regenerate the baseline
 from a Release build and commit it together with the change that moved it:
 
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-  ./build/bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' \
+  ./build/bench/micro_engines --benchmark_filter='Portfolio|SatBmc' \
       --json BENCH_portfolio.json
 
 and say why in the commit message.
@@ -55,9 +49,7 @@ SAT engine concretizes error_flag's counterexample):
 
 and commit BENCH_prof.json with the change that moved it, saying why.
 
-Corpus mode diffs two corpus documents (from tools/corpus_run.py;
-rfn-corpus-v2, with rfn-corpus-v1 baselines still accepted so pre-profiler
-checkouts keep gating):
+Corpus mode diffs two rfn-corpus-v2 documents (from tools/corpus_run.py):
 
   tools/bench_gate.py --corpus-baseline tests/corpus/baseline.json \
       --corpus-current corpus_summary.json
@@ -65,7 +57,7 @@ checkouts keep gating):
 and fails on any semantic drift: a baseline file or property missing from
 the current run, a file status that degraded (ok -> resource-out/error), a
 verdict flip, or a certification regression (certified true -> false).
-Wall-clock seconds, engine_wins, and the v2 peak_rss_bytes/cpu_ms fields
+Wall-clock seconds, engine_wins, and the peak_rss_bytes/cpu_ms fields
 are deliberately NOT gated — races are timing-dependent and RSS/CPU are
 machine-dependent; the verdicts and certificates are not. New files or
 properties in the current run are reported but do not fail the gate (they
@@ -78,17 +70,12 @@ import json
 import sys
 
 GATED_COUNTERS = ("bdd_peak_nodes",)
-CORPUS_SCHEMAS = ("rfn-corpus-v2", "rfn-corpus-v1")
+CORPUS_SCHEMA = "rfn-corpus-v2"
 PROF_SCHEMA = "rfn-prof-v1"
 # The subsystems whose byte-exact arena peaks the prof gate covers. A
 # subsystem present in the baseline but absent from the current artifact is
 # a schema break, not a memory win.
 PROF_SUBSYSTEMS = ("bdd", "sat")
-
-# The batch-session pair: one VerifySession over the FIFO flag suite vs
-# the same properties as independent RfnVerifier runs.
-BATCH_BENCH = "BM_SessionBatchFifo"
-INDEPENDENT_BENCH = "BM_SessionIndependentFifo"
 
 # The IC3/PDR engine must actually win races somewhere in the current
 # artifact (wins_pdr >= 1 on at least one benchmark) — a portfolio whose
@@ -115,10 +102,9 @@ def load(path):
 def load_corpus(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") not in CORPUS_SCHEMAS:
-        sys.exit(f"bench_gate: {path}: not an rfn-corpus document "
-                 f"(schema={doc.get('schema')!r}, "
-                 f"want one of {list(CORPUS_SCHEMAS)})")
+    if doc.get("schema") != CORPUS_SCHEMA:
+        sys.exit(f"bench_gate: {path}: not an {CORPUS_SCHEMA} document "
+                 f"(schema={doc.get('schema')!r})")
     files = {}
     for i, rec in enumerate(doc.get("files", [])):
         name = rec.get("file")
@@ -315,28 +301,11 @@ def main():
                 print(f"bench_gate: {name}: {counter} ok "
                       f"({cur_c:.0f} vs {base_c:.0f})")
 
-    # The batch invariant is checked within the *current* artifact (not
+    # The PDR-wins floor is checked within the *current* artifact (not
     # against the baseline), so it holds on this machine regardless of how
-    # the baseline host was loaded when the baseline was recorded.
-    batch = current.get(BATCH_BENCH)
-    indep = current.get(INDEPENDENT_BENCH)
-    if batch is not None and indep is not None:
-        batch_t = batch.get("real_seconds_per_iter", 0.0)
-        indep_t = indep.get("real_seconds_per_iter", 0.0)
-        if indep_t > 0 and batch_t >= indep_t:
-            failures.append(
-                f"{BATCH_BENCH}: batch wall {batch_t * 1e3:.3f} ms/iter is not "
-                f"below independent runs ({INDEPENDENT_BENCH}: "
-                f"{indep_t * 1e3:.3f} ms/iter) — batching stopped paying off")
-        elif indep_t > 0:
-            print(f"bench_gate: batch wall ok ({batch_t * 1e3:.3f} vs "
-                  f"{indep_t * 1e3:.3f} ms/iter independent, "
-                  f"{(1.0 - batch_t / indep_t) * 100.0:.1f}% saved)")
-
-    # Like the batch invariant, the PDR-wins floor is checked within the
-    # current artifact: some benchmark must report wins_pdr >= 1. Skipped
-    # only when no current benchmark exports the counter at all (a filtered
-    # run that excluded the portfolio benches).
+    # the baseline host was loaded: some benchmark must report
+    # wins_pdr >= 1. Skipped only when no current benchmark exports the
+    # counter at all (a filtered run that excluded the portfolio benches).
     pdr_benches = {name: b.get("counters", {}).get(PDR_WINS_COUNTER)
                    for name, b in current.items()
                    if PDR_WINS_COUNTER in b.get("counters", {})}

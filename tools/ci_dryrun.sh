@@ -179,7 +179,7 @@ run_batch build-ci-bench/batch-iu.jsonl iu \
 run_batch build-ci-bench/batch-usb.jsonl usb \
   --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1
 
-./build-ci-bench/bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' \
+./build-ci-bench/bench/micro_engines --benchmark_filter='Portfolio|SatBmc' \
   --json build-ci-bench/bench-current.json
 python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
   --current build-ci-bench/bench-current.json

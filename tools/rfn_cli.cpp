@@ -11,7 +11,7 @@
 // parameterizations; CI's batch runs use these). For AIGER designs every
 // bad-state property (or output, pre-1.9 style) becomes a verification
 // obligation: with no --bad/--props the whole set runs as one batch
-// session, so cone clustering, the ReuseCache, and all engines apply
+// session, so fair-share budgets, the ReuseCache, and all engines apply
 // unchanged. Common options:
 //   --time-limit S     wall-clock budget (default 300)
 //   --workers N        engine-portfolio worker threads (default 0: sequential)
@@ -68,14 +68,11 @@
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
 //          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
-// Properties carrying per-line overrides run solo; the rest are clustered
-// by register-cone overlap and answered through shared abstraction runs.
-// With more than one property, --trace-json emits the rfn-trace-v2 batch
+// Every property runs solo, on an abstraction grown from its own fanin;
+// per-line overrides apply to that property's run only. With more than one property, --trace-json emits the rfn-trace-v2 batch
 // schema (one "property" record each + a "batch-summary"); with exactly one
 // it emits rfn-trace-v1 as before. Batch options:
-//   --cluster-overlap X   Jaccard cone-overlap threshold (default 0.5)
-//   --max-cluster N       max properties per shared run (default 4)
-//   --session-workers N   cluster jobs run concurrently (default 0: inline)
+//   --session-workers N   property jobs run concurrently (default 0: inline)
 //   --batch-budget-ms N   whole-batch wall budget, split fair-share
 //   --no-reuse            disable the cross-property reuse cache
 //   --batch               force the session path (and the rfn-trace-v2
@@ -318,19 +315,18 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
     }
   }
 
-  std::printf("batch: %zu properties in %zu clusters, %.2f s\n",
-              out.results.size(), out.clusters, out.seconds);
-  std::printf("%-24s %-12s %7s %9s %5s %8s\n", "property", "verdict", "cluster",
-              "clustered", "iters", "seconds");
+  std::printf("batch: %zu properties, %.2f s\n", out.results.size(),
+              out.seconds);
+  std::printf("%-24s %-12s %5s %8s\n", "property", "verdict", "iters",
+              "seconds");
   bool all_conclusive = true;
   for (const PropertyResult& r : out.results) {
-    std::printf("%-24s %-12s %7zu %9s %5zu %8.2f\n", r.name.c_str(),
+    std::printf("%-24s %-12s %5zu %8.2f\n", r.name.c_str(),
                 r.verdict == Verdict::Holds         ? "HOLDS"
                 : r.verdict == Verdict::Fails       ? "VIOLATED"
                 : r.verdict == Verdict::ResourceOut ? "RESOURCE-OUT"
                                                     : "UNKNOWN",
-                r.cluster, r.clustered ? "yes" : "no", r.stats.iterations,
-                r.stats.seconds);
+                r.stats.iterations, r.stats.seconds);
     if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails)
       all_conclusive = false;
   }
@@ -484,8 +480,6 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
       if (!e.empty()) req.options.engines.push_back(e);
   }
   if (report_invalid(req.options)) return 2;
-  req.cluster_overlap = opts.get_double("cluster-overlap", 0.5);
-  req.max_cluster_size = static_cast<size_t>(opts.get_int("max-cluster", 4));
   req.session_workers =
       static_cast<size_t>(opts.get_int("session-workers", 0));
   req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);

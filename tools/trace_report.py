@@ -34,13 +34,11 @@ proof-shrink column (shrunk_registers, bounded by the abstraction size) —
 and that the summary's iteration count matches the records, then prints a
 per-iteration table with the PDR and shrink columns.
 
-With `--corpus` the input is an rfn-corpus-v1 or -v2 summary from
+With `--corpus` the input is an rfn-corpus-v2 summary from
 tools/corpus_run.py. The validator checks the schema tag, the per-file and
-per-property record shapes, the verdict spellings, and that the totals
-block agrees with the records, then prints a per-file table. v2 records
-additionally carry per-file resource columns (peak_rss_bytes, cpu_ms),
-which the validator requires to be nonnegative numbers; v1 baselines
-remain readable for the CI gate's back-compat.
+per-property record shapes, the verdict spellings, the per-file resource
+columns (peak_rss_bytes, cpu_ms; nonnegative numbers), and that the totals
+block agrees with the records, then prints a per-file table.
 
 With `--serve` the input is a server session log: the JSON Lines a client
 (or the CI replay script) captured from one rfn_serve connection —
@@ -97,17 +95,15 @@ ITERATION_KEYS = ("iter", "abstraction", "reach", "bdd", "hybrid",
 # block, both added with the pdr engine.
 PDR_ITER_KEYS = ("obligations", "clauses", "frames")
 VERDICTS = ("T", "F", "?", "resource-out")
-PROPERTY_KEYS = ("name", "bad", "verdict", "cluster", "clustered",
-                 "iterations", "seconds")
+PROPERTY_KEYS = ("name", "bad", "verdict", "iterations", "seconds")
 CERTIFICATE_KEYS = ("property", "kind", "ok", "clauses", "trace_cycles",
                     "obligation", "seconds")
 CERTIFICATE_KINDS = ("holds-invariant", "fails-trace")
 CORPUS_SCHEMA = "rfn-corpus-v2"
-CORPUS_SCHEMA_V1 = "rfn-corpus-v1"
 CORPUS_STATUSES = ("ok", "resource-out", "error")
 CORPUS_PROPERTY_KEYS = ("name", "verdict", "certified")
-# v2 adds per-file resource columns recorded from each file's prof artifact.
-CORPUS_V2_FILE_KEYS = ("peak_rss_bytes", "cpu_ms")
+# Per-file resource columns recorded from each file's prof artifact.
+CORPUS_FILE_KEYS = ("peak_rss_bytes", "cpu_ms")
 RESPONSE_VERSION = "rfn-resp-v1"
 REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
                   "bdd-oversubscribed", "load-failed", "bad-request")
@@ -355,14 +351,12 @@ def report_run(path):
 
 
 def validate_corpus(doc):
-    """Checks an rfn-corpus-v1/-v2 summary; returns the file-record list."""
+    """Checks an rfn-corpus-v2 summary; returns the file-record list."""
     if not isinstance(doc, dict):
         fail("top level is not an object")
     schema = doc.get("schema")
-    if schema not in (CORPUS_SCHEMA, CORPUS_SCHEMA_V1):
-        fail(f"schema is {schema!r}, expected {CORPUS_SCHEMA!r} "
-             f"(or {CORPUS_SCHEMA_V1!r} for old baselines)")
-    v2 = schema == CORPUS_SCHEMA
+    if schema != CORPUS_SCHEMA:
+        fail(f"schema is {schema!r}, expected {CORPUS_SCHEMA!r}")
     files = doc.get("files")
     if not isinstance(files, list):
         fail("files missing or not a list")
@@ -388,13 +382,12 @@ def validate_corpus(doc):
             fail(f"file record {i} ({name!r}): status ok with no "
                  f"properties — every AIGER corpus file carries at least "
                  f"one bad")
-        if v2:
-            for key in CORPUS_V2_FILE_KEYS:
-                value = rec.get(key)
-                if not isinstance(value, (int, float)) or \
-                        isinstance(value, bool) or value < 0:
-                    fail(f"file record {i} ({name!r}): {key!r} missing or "
-                         f"not a nonnegative number (got {value!r})")
+        for key in CORPUS_FILE_KEYS:
+            value = rec.get(key)
+            if not isinstance(value, (int, float)) or \
+                    isinstance(value, bool) or value < 0:
+                fail(f"file record {i} ({name!r}): {key!r} missing or "
+                     f"not a nonnegative number (got {value!r})")
         for j, p in enumerate(props):
             for key in CORPUS_PROPERTY_KEYS:
                 if key not in p:
@@ -678,7 +671,7 @@ def report_prof(path):
 
 
 def report_corpus(path):
-    """Validates and summarizes an rfn-corpus-v1 summary file."""
+    """Validates and summarizes an rfn-corpus-v2 summary file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -737,16 +730,14 @@ def report_batch(path):
     props, certs, summary = validate_batch(records)
 
     print("== batch summary ==")
-    print(f"properties={len(props)} clusters={summary.get('clusters')} "
+    print(f"properties={len(props)} "
           f"total_wall_s={summary.get('seconds', 0.0):.6f}")
     declared = summary.get("verdicts", {})
     print("verdicts: " + " ".join(
         f"{v}={declared.get(v, 0)}" for v in VERDICTS))
-    print(f"\n{'property':<24} {'verdict':<12} {'cluster':>7} "
-          f"{'clustered':>9} {'iters':>5} {'seconds':>9}")
+    print(f"\n{'property':<24} {'verdict':<12} {'iters':>5} {'seconds':>9}")
     for r in props:
-        print(f"{r['name']:<24} {r['verdict']:<12} {r['cluster']:>7} "
-              f"{('yes' if r['clustered'] else 'no'):>9} "
+        print(f"{r['name']:<24} {r['verdict']:<12} "
               f"{r['iterations']:>5} {r['seconds']:>9.3f}")
     if certs:
         kinds = collections.Counter(r["kind"] for r in certs)
@@ -893,8 +884,7 @@ def synthetic_trace():
 
 def synthetic_batch_trace():
     """A minimal well-formed rfn-trace-v2 record list for --self-check."""
-    prop = {"type": "property", "bad": 7, "cluster": 0, "clustered": True,
-            "order_seeded": False, "seeded_registers": 0, "iterations": 2,
+    prop = {"type": "property", "bad": 7, "order_seeded": False, "seeded_registers": 0, "iterations": 2,
             "final_abstract_regs": 3, "error_trace_cycles": 0,
             "seconds": 0.25, "note": ""}
     cert = {"type": "certificate", "clauses": 0, "trace_cycles": 0,
@@ -906,7 +896,7 @@ def synthetic_batch_trace():
         dict(cert, property="p1", kind="fails-trace", ok=False,
              trace_cycles=4, obligation="trace-replay"),
         {"type": "batch-summary", "trace_version": BATCH_TRACE_VERSION,
-         "properties": 2, "clusters": 1,
+         "properties": 2,
          "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5,
@@ -987,7 +977,6 @@ def synthetic_serve_log():
     def verify_response(rid, hit, hits, misses):
         return {"type": "response", "version": RESPONSE_VERSION, "id": rid,
                 "ok": True, "design_hash": "deadbeef", "properties": 2,
-                "clusters": 1,
                 "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
                 "warm_cache": {"enabled": True, "hit": hit, "hits": hits,
                                "misses": misses, "evictions": 0,
@@ -1198,22 +1187,12 @@ def self_check():
         corrupt_corpus(lambda d: d["files"].append(dict(d["files"][0])),
                        "duplicate corpus file record"),
         corrupt_corpus(lambda d: d["files"][0].pop("peak_rss_bytes"),
-                       "v2 file record missing peak_rss_bytes"),
+                       "file record missing peak_rss_bytes"),
         corrupt_corpus(lambda d: d["files"][0].update(cpu_ms=-1.0),
-                       "negative v2 cpu_ms"),
+                       "negative cpu_ms"),
+        corrupt_corpus(lambda d: d.update(schema="rfn-corpus-v1"),
+                       "retired rfn-corpus-v1 schema tag"),
     ) if f]
-
-    # A v1 baseline (no resource columns) must stay readable for the CI
-    # gate's back-compat path.
-    v1 = json.loads(json.dumps(good_corpus))
-    v1["schema"] = CORPUS_SCHEMA_V1
-    for rec in v1["files"]:
-        rec.pop("peak_rss_bytes")
-        rec.pop("cpu_ms")
-    try:
-        validate_corpus(v1)
-    except TraceError as err:
-        failures.append(f"self-check: v1 corpus baseline rejected: {err}")
 
     good_prof = synthetic_prof()
     try:
@@ -1329,7 +1308,7 @@ def main():
                     help="TRACE is an rfn-trace-v1 single-run JSONL file "
                          "(iteration records + summary)")
     ap.add_argument("--corpus", action="store_true",
-                    help="TRACE is an rfn-corpus-v1/-v2 summary from "
+                    help="TRACE is an rfn-corpus-v2 summary from "
                          "tools/corpus_run.py")
     ap.add_argument("--prof", action="store_true",
                     help="TRACE is an rfn-prof-v1 resource profile from "
