@@ -20,7 +20,7 @@
 #include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
 #include "core/portfolio.hpp"
-#include "core/rfn.hpp"
+#include "core/session.hpp"
 #include "designs/fifo.hpp"
 #include "designs/iu.hpp"
 #include "designs/usb.hpp"
@@ -238,8 +238,7 @@ void BM_RfnPortfolioFifo(benchmark::State& state) {
     RfnOptions opt;
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
     opt.race_probe_time_s = 1.0;
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
   export_portfolio_counters(state);
@@ -259,8 +258,7 @@ void BM_PortfolioPdrFifo(benchmark::State& state) {
     RfnOptions opt;
     opt.engines = {"pdr"};
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
     if (!res.pdr_invariant.present)
       state.SkipWithError("pdr verdict must carry its inductive frame");
@@ -307,8 +305,7 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
     opt.engines = {"bdd", "sat"};
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
     opt.race_probe_time_s = 1.0;
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
   const MetricsSnapshot s = MetricsRegistry::global().snapshot();

@@ -17,7 +17,7 @@
 
 #include "core/certify.hpp"
 #include "core/plain_mc.hpp"
-#include "core/rfn.hpp"
+#include "core/session.hpp"
 #include "designs/fifo.hpp"
 #include "designs/processor.hpp"
 #include "netlist/analysis.hpp"
@@ -74,13 +74,12 @@ int main(int argc, char** argv) {
 
     RfnOptions rfn_opts;
     rfn_opts.time_limit_s = opts.get_double("time-limit", 900.0);
-    RfnVerifier verifier(*row.design, row.bad, rfn_opts);
-    const RfnResult r = verifier.run();
+    const RfnResult r = run_property(*row.design, row.bad, rfn_opts);
     verdicts.push_back(r.verdict);
     // Every verdict is re-checked through the independent certifier (trace
     // replay for F, inductive invariant for T).
     const CertifyResult cert =
-        certify(*row.design, row.bad, r, verifier.abstract_registers());
+        certify(*row.design, row.bad, r);
     table.add_row({row.name, fmt_int(static_cast<int64_t>(coi_regs)),
                    fmt_int(static_cast<int64_t>(coi_gates)), fmt_double(r.seconds, 1),
                    to_string(r.verdict),

@@ -1,7 +1,9 @@
 #include "api/api.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "cert/format.hpp"
@@ -78,6 +80,14 @@ std::string override_text(const json::Value& v) {
   return v.is_string() ? v.as_string() : v.dump();
 }
 
+/// std::stoul accepts a leading '-' and wraps it ("-1" becomes 2^64-1), so
+/// negative text is rejected before conversion.
+size_t parse_size(const std::string& text) {
+  if (text.find('-') != std::string::npos)
+    throw std::invalid_argument("negative count");
+  return std::stoul(text);
+}
+
 }  // namespace
 
 GateId find_signal(const Netlist& n, const std::string& name) {
@@ -94,9 +104,9 @@ bool apply_override(const std::string& key, const std::string& value,
     } else if (key == "time-limit") {
       out->overrides.time_limit_s = std::stod(value);
     } else if (key == "max-iterations") {
-      out->overrides.max_iterations = std::stoul(value);
+      out->overrides.max_iterations = parse_size(value);
     } else if (key == "traces") {
-      out->overrides.traces_per_iteration = std::stoul(value);
+      out->overrides.traces_per_iteration = parse_size(value);
     } else if (key == "budget-ms") {
       out->overrides.budget_ms = std::stod(value);
     } else if (key == "budget-bdd-nodes") {
@@ -142,10 +152,22 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 // VerifyRequest
 
 std::vector<std::string> VerifyRequest::validate() const {
-  // The single choke point: the engine knobs' own validation. Session knobs
-  // are valid by construction (any worker count runs; a non-positive batch
-  // budget means none).
-  return options.validate();
+  // The single choke point: the engine knobs' own validation, then each
+  // property's options as its overrides leave them, reported under the
+  // property's origin and label. Session knobs are valid by construction
+  // (any worker count runs; a non-positive batch budget means none).
+  std::vector<std::string> errors = options.validate();
+  for (size_t i = 0; i < props.size(); ++i) {
+    const PropertySpec& p = props[i];
+    if (!p.overrides.any()) continue;
+    const std::string who =
+        (p.origin.empty() ? "props[" + std::to_string(i) + "]" : p.origin) +
+        " (" + (p.name.empty() ? p.signal : p.name) + "): ";
+    for (const std::string& e : p.overrides.apply(options).validate())
+      if (std::find(errors.begin(), errors.end(), e) == errors.end())
+        errors.push_back(who + e);
+  }
+  return errors;
 }
 
 json::Value VerifyRequest::to_json() const {
@@ -822,13 +844,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     }
   }
   return true;
-}
-
-RfnResult run_single(const Netlist& m, GateId bad, const RfnOptions& opt) {
-  // Equivalent to a fresh RfnVerifier (its initial-register seeding is a
-  // no-op on the first run, and validated options never carry the
-  // traces_per_iteration == 0 case its clamp exists for).
-  return run_property(m, bad, opt);
 }
 
 }  // namespace rfn::api

@@ -111,8 +111,9 @@ struct VerifyRequest {
   /// Ship each built rfn-cert-v1 document inline in the response.
   bool inline_certificates = false;
 
-  /// The one validation choke point: RfnOptions::validate() plus the
-  /// session knobs. Empty means valid.
+  /// The one validation choke point: RfnOptions::validate() on the request
+  /// options and on each property's options after its overrides (messages
+  /// prefixed by the property's origin and label). Empty means valid.
   std::vector<std::string> validate() const;
 
   json::Value to_json() const;
@@ -246,10 +247,5 @@ struct RunOutput {
 bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
                 TraceSink* sink, bool stream_properties, ReuseCache* warm,
                 RunOutput* out, std::string* error);
-
-/// The legacy single-property path (rfn-trace-v1): one run_property call
-/// with no session machinery, exactly what `rfn verify` without a batch
-/// does. RfnResult::final_registers feeds certification.
-RfnResult run_single(const Netlist& m, GateId bad, const RfnOptions& opt);
 
 }  // namespace rfn::api

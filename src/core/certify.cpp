@@ -94,13 +94,12 @@ CertifyResult certify_holds(const Netlist& m, GateId bad,
   return res;
 }
 
-CertifyResult certify(const Netlist& m, GateId bad, const RfnResult& result,
-                      const std::vector<GateId>& included_regs) {
+CertifyResult certify(const Netlist& m, GateId bad, const RfnResult& result) {
   switch (result.verdict) {
     case Verdict::Fails:
       return certify_error_trace(m, result.error_trace, bad);
     case Verdict::Holds:
-      return certify_holds(m, bad, included_regs);
+      return certify_holds(m, bad, result.final_registers);
     case Verdict::Unknown:
     case Verdict::ResourceOut: {
       CertifyResult res;

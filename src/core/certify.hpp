@@ -29,14 +29,13 @@ CertifyResult certify_error_trace(const Netlist& m, const Trace& trace, GateId b
 
 /// Recomputes the fixpoint on the abstraction over `included_regs` and
 /// checks the inductive-invariant conditions. `included_regs` is typically
-/// RfnVerifier::abstract_registers() after a Holds verdict.
+/// RfnResult::final_registers after a Holds verdict.
 CertifyResult certify_holds(const Netlist& m, GateId bad,
                             const std::vector<GateId>& included_regs,
                             const ReachOptions& opt = {});
 
-/// Certifies an RfnResult end-to-end (dispatches on the verdict; Unknown is
-/// never certifiable).
-CertifyResult certify(const Netlist& m, GateId bad, const RfnResult& result,
-                      const std::vector<GateId>& included_regs);
+/// Certifies an RfnResult end-to-end (dispatches on the verdict; a Holds is
+/// checked over the run's final_registers; Unknown is never certifiable).
+CertifyResult certify(const Netlist& m, GateId bad, const RfnResult& result);
 
 }  // namespace rfn

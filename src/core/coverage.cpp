@@ -117,7 +117,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     } publish(mgr);
     Encoder enc(mgr, sub.net);
     if (!saved_order.empty()) apply_saved_order(mgr, enc, sub, saved_order);
-    mgr.set_auto_reorder(opt.dynamic_reordering);
+    mgr.set_auto_reorder(true);
     mgr.set_node_budget(opt.reach.max_live_nodes);
     ImageComputer img(enc);
     if (img.aborted()) {

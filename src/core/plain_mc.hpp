@@ -16,10 +16,10 @@ struct PlainMcResult {
   double seconds = 0.0;
 };
 
-/// Runs BDD reachability on the COI-reduced design. Fails/Holds are exact
-/// (COI reduction preserves the property); Unknown means resources ran out —
-/// the expected outcome on designs beyond BDD capacity.
-PlainMcResult plain_model_check(const Netlist& m, GateId bad, const ReachOptions& opt,
-                                bool dynamic_reordering = true);
+/// Runs BDD reachability, with dynamic reordering, on the COI-reduced
+/// design. Fails/Holds are exact (COI reduction preserves the property);
+/// Unknown means resources ran out — the expected outcome on designs beyond
+/// BDD capacity.
+PlainMcResult plain_model_check(const Netlist& m, GateId bad, const ReachOptions& opt);
 
 }  // namespace rfn

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/abstraction.hpp"
-#include "core/session.hpp"
-
 namespace rfn {
 
 bool RfnOptions::engine_enabled(const char* name) const {
@@ -32,8 +29,6 @@ std::vector<std::string> RfnOptions::validate() const {
       errors.push_back("unknown engine \"" + e + "\" (valid engines: " +
                        kEngineList + ")");
   }
-  if (race_sat_max_depth == 0)
-    errors.push_back("race_sat_max_depth must be >= 1");
   if (race_pdr_max_frames == 0)
     errors.push_back("race_pdr_max_frames must be >= 1");
   if (race_pdr_time_s < 0.0)
@@ -54,35 +49,11 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("budget_mem_mb must be >= 0 (0 disables the budget)");
   if (race_probe_time_s < 0.0)
     errors.push_back("race_probe_time_s must be >= 0");
-  if (race_sim_cycles == 0)
-    errors.push_back("race_sim_cycles must be >= 1");
   if (reach.max_live_nodes == 0)
     errors.push_back("reach.max_live_nodes must be >= 1");
   if (reach.max_steps == 0)
     errors.push_back("reach.max_steps must be >= 1");
   return errors;
-}
-
-RfnVerifier::RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt)
-    : m_(&m), bad_(bad), opt_(std::move(opt)) {
-  RFN_CHECK(bad < m.size(), "bad signal out of range");
-  included_ = initial_abstraction_registers(m, {bad});
-}
-
-RfnResult RfnVerifier::run() {
-  // One-request path through the session engine (core/session.hpp). Two
-  // compatibility details of the historical interface are preserved here:
-  // traces_per_iteration == 0 behaves as 1 (the session and CLI entry points
-  // reject it via validate() instead of clamping), and the current included
-  // set seeds the run, so calling run() again resumes from the previous
-  // run's refined abstraction rather than starting over.
-  RfnOptions opt = opt_;
-  opt.traces_per_iteration = std::max<size_t>(1, opt.traces_per_iteration);
-  RunHooks hooks;
-  hooks.seed_registers = &included_;
-  RfnResult result = run_property(*m_, bad_, opt, hooks);
-  included_ = result.final_registers;
-  return result;
 }
 
 }  // namespace rfn

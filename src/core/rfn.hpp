@@ -11,6 +11,9 @@
 //   4. on spurious traces, refine via 3-valued simulation + greedy ATPG
 //      register minimization.
 // RFN never performs symbolic image computation on the original design.
+//
+// RfnOptions and RfnResult are the loop's configuration and outcome; the
+// loop itself is run_property (core/session.hpp), the only way into it.
 
 #include <string>
 #include <vector>
@@ -38,10 +41,6 @@ struct RfnOptions {
   /// Resource limits for Step 4's greedy minimization.
   RefineOptions refine;
   HybridTraceOptions hybrid;
-  /// Enable dynamic variable reordering during Step 2 and carry the order
-  /// to the next iteration (paper Section 2.2).
-  bool dynamic_reordering = true;
-  bool save_var_order = true;
   /// When the exact fixpoint on an abstract model exceeds its resources,
   /// retry with the overlapping-partition approximate traversal (the
   /// paper's future-work engine): a Proved there is still a proof.
@@ -61,13 +60,6 @@ struct RfnOptions {
   /// primary engine is inconclusive. Verdicts are identical either way —
   /// every engine is sound — only the winner (and wall time) changes.
   size_t portfolio_workers = 0;
-  /// Cycle budget per race for the random-simulation engines (64 random
-  /// patterns per cycle).
-  size_t race_sim_cycles = 512;
-  /// Iterative-deepening bound and per-depth backtrack budget for the
-  /// sequential-ATPG engine racing the abstract check.
-  size_t race_atpg_max_depth = 48;
-  uint64_t race_atpg_backtracks = 1u << 14;
   /// Wall budget (seconds) for each probe engine per race; the primary
   /// engines (BDD fixpoint, guided ATPG) keep their own limits.
   double race_probe_time_s = 2.0;
@@ -77,10 +69,6 @@ struct RfnOptions {
   /// and "pdr" can prove Holds, so a list with neither restricts the loop
   /// to falsification: a run that finds no error trace ends Unknown.
   std::vector<std::string> engines;
-  /// Iterative-deepening bound for the SAT BMC engine's abstract probe
-  /// (Step 2). The Step-3 concrete check is bounded by the abstract trace
-  /// length instead, where bounded UNSAT is conclusive.
-  size_t race_sat_max_depth = 48;
   /// Frame bound for the IC3/PDR engine in both races. PDR is complete —
   /// given enough frames it always converges — so this is purely a resource
   /// valve against designs whose inductive proofs are deep.
@@ -90,11 +78,6 @@ struct RfnOptions {
   /// job in an otherwise-winnerless race would stall the loop, so it gets
   /// its own limit rather than race_probe_time_s.
   double race_pdr_time_s = 10.0;
-  /// Feed the registers named by Step-3 bounded-UNSAT assumption cores to
-  /// Step-4 refinement as crucial-register hints. Hints only — they reorder
-  /// which candidates greedy minimization tries first, never what a verdict
-  /// means — so this is a performance switch, not a soundness one.
-  bool sat_core_hints = true;
   /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
   /// Step-3 bounded-UNSAT concrete check, drop included registers that the
   /// proof's assumption core never touched, alternating counterexample-
@@ -128,10 +111,9 @@ struct RfnOptions {
   bool sample_rss = false;
 
   /// Checks the options for consistency and returns human-readable errors
-  /// (empty = valid) instead of clamping silently at run time. The CLI and
-  /// VerifySession reject invalid options up front with these messages;
-  /// RfnVerifier::run() keeps its historical clamping (see run()) so the
-  /// compatibility path behaves exactly as before.
+  /// (empty = valid). Front doors reject invalid input with these messages
+  /// (api::VerifyRequest::validate); run_property treats invalid options as
+  /// a caller bug and aborts.
   std::vector<std::string> validate() const;
 };
 
@@ -211,49 +193,27 @@ struct RfnResult {
   size_t iterations = 0;
   size_t final_abstract_regs = 0;
   /// The included register set when the run ended (sorted): the final
-  /// abstract model. Lets callers resume refinement or seed a later run.
+  /// abstract model. Lets callers resume refinement or seed a later run
+  /// (RunHooks::seed_registers).
   std::vector<GateId> final_registers;
   double seconds = 0.0;
   /// Thread-CPU seconds attributable to this run: the calling thread's CPU
-  /// over run() plus, when portfolio workers raced off-thread, the CPU their
-  /// jobs burned (sequential runs execute jobs inline, already counted).
+  /// over run_property() plus, when portfolio workers raced off-thread, the
+  /// CPU their jobs burned (sequential runs execute jobs inline, already
+  /// counted).
   double cpu_seconds = 0.0;
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts
   BudgetTrip budget_trip;
-  /// Metrics isolation for this run: the registry snapshot taken at run()
-  /// entry and the epoch id. Serializing the registry against the baseline
-  /// (to_json(&metrics_baseline)) yields only this run's work even when
-  /// several runs share the process.
+  /// Metrics isolation for this run: the registry snapshot taken at
+  /// run_property() entry and the epoch id. Serializing the registry against
+  /// the baseline (to_json(&metrics_baseline)) yields only this run's work
+  /// even when several runs share the process.
   MetricsSnapshot metrics_baseline;
   uint64_t metrics_epoch = 0;
   /// Set when a PDR run concluded the verdict Holds: the inductive frame
   /// certification should turn into the witness (see PdrInvariantWitness).
   PdrInvariantWitness pdr_invariant;
-};
-
-/// Single-property compatibility wrapper over the session engine
-/// (run_property in core/session.hpp). Kept as the stable entry point for
-/// one-off verification; batches of properties on one design should go
-/// through VerifySession, which runs each property solo on the same engine
-/// and adds fair-share budgets and cross-property reuse of solver state.
-class RfnVerifier {
- public:
-  /// `bad` is a signal of `m`; the property is "bad never becomes 1 in any
-  /// reachable state/input". Safety properties are modeled by a watchdog
-  /// whose output (or state) is `bad` (paper Section 3).
-  RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt = {});
-
-  RfnResult run();
-
-  /// The included register set after run() (the final abstract model).
-  const std::vector<GateId>& abstract_registers() const { return included_; }
-
- private:
-  const Netlist* m_;
-  GateId bad_;
-  RfnOptions opt_;
-  std::vector<GateId> included_;
 };
 
 }  // namespace rfn

@@ -108,11 +108,38 @@ int64_t ReuseCache::approx_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// The single-property engine (formerly RfnVerifier::run).
+// The single-property engine.
+
+namespace {
+
+// Fixed engine settings: one value serves every caller, so they are not
+// options. Dynamic variable reordering is always on in Step 2, and each
+// iteration's final variable order seeds the next (paper Section 2.2).
+// Random-simulation cycles per race (64 random patterns per cycle).
+constexpr size_t kRaceSimCycles = 512;
+// Iterative-deepening bound and per-depth backtrack budget of the
+// sequential-ATPG probe, and the SAT BMC probe's depth bound. (The Step-3
+// SAT check is bounded by the abstract trace length instead.)
+constexpr size_t kRaceAtpgMaxDepth = 48;
+constexpr uint64_t kRaceAtpgBacktracks = 1u << 14;
+constexpr size_t kRaceSatMaxDepth = 48;
+
+std::string join_errors(const std::vector<std::string>& errors) {
+  std::string s;
+  for (const auto& e : errors) {
+    if (!s.empty()) s += "; ";
+    s += e;
+  }
+  return s;
+}
+
+}  // namespace
 
 RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                        const RunHooks& hooks) {
   RFN_CHECK(bad < m.size(), "bad signal out of range");
+  const std::vector<std::string> errors = opt.validate();
+  RFN_CHECK(errors.empty(), "invalid options: %s", join_errors(errors).c_str());
   RfnResult result;
   // Per-run metrics isolation: everything this run records is reported
   // relative to this baseline (trace_json serializes against it).
@@ -133,8 +160,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // and orders the run visits, never what a verdict means.
   SavedOrder saved_order;
   if (hooks.order_io != nullptr) saved_order = *hooks.order_io;
-  if (hooks.order_seeded != nullptr)
-    *hooks.order_seeded = opt.save_var_order && !saved_order.empty();
 
   const std::vector<GateId> roots{bad};
   std::vector<GateId> included = initial_abstraction_registers(m, roots);
@@ -253,9 +278,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     std::optional<ImageComputer> img;
     if (use_bdd) {
       enc.emplace(mgr, sub.net);
-      if (opt.save_var_order) apply_saved_order(mgr, *enc, sub, saved_order);
+      apply_saved_order(mgr, *enc, sub, saved_order);
     }
-    mgr.set_auto_reorder(opt.dynamic_reordering);
+    mgr.set_auto_reorder(true);
     mgr.set_node_budget(opt.reach.max_live_nodes);
     if (use_bdd) img.emplace(*enc);
 
@@ -366,9 +391,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     if (use_atpg) {
       jobs.push_back({"seq-atpg", probe_budget, [&](const CancelToken& token) {
                         AtpgOptions ao;
-                        ao.max_backtracks = opt.race_atpg_backtracks;
+                        ao.max_backtracks = kRaceAtpgBacktracks;
                         ao.cancel = &token;
-                        for (size_t k = 1; k <= opt.race_atpg_max_depth; ++k) {
+                        for (size_t k = 1; k <= kRaceAtpgMaxDepth; ++k) {
                           if (token.cancelled()) return false;
                           SeqAtpgResult r = reach_target(sub.net, k, bad_new, true, {}, ao);
                           if (r.status == AtpgStatus::Sat) {
@@ -385,7 +410,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     if (use_sim) {
       jobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
                         sim_probe = random_sim_error_trace(
-                            sub.net, bad_new, opt.race_sim_cycles,
+                            sub.net, bad_new, kRaceSimCycles,
                             0x51D5EEDull + iter, &token);
                         return !sim_probe.empty();
                       }});
@@ -397,7 +422,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       // same pseudo-input semantics the extracted subcircuit gives them. A
       // bounded Unsat proves nothing unbounded, so only Sat is conclusive.
       jobs.push_back({"sat-bmc", probe_budget, [&](const CancelToken& token) {
-                        sat_probe = sat_bmc->check(bad, opt.race_sat_max_depth,
+                        sat_probe = sat_bmc->check(bad, kRaceSatMaxDepth,
                                                    included, &token);
                         return sat_probe.status == AtpgStatus::Sat;
                       }});
@@ -431,7 +456,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     std::vector<Trace> traces;    // the same traces in original-design ids
     if (abs_race.conclusive && tags[abs_race.winner] == Eng::Bdd) {
       if (reach.status == ReachStatus::Proved) {
-        if (opt.save_var_order) saved_order = save_order(mgr, *enc, sub);
+        saved_order = save_order(mgr, *enc, sub);
         finish_iteration(it);
         result.verdict = Verdict::Holds;
         break;
@@ -440,9 +465,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       HybridTraceOptions hybrid_opt = opt.hybrid;
       if (hybrid_opt.cancel == nullptr) hybrid_opt.cancel = cancel;
       traces_n = hybrid_error_traces(*enc, sub.net, reach, bad_set,
-                                     std::max<size_t>(1, opt.traces_per_iteration),
-                                     hybrid_opt, &it.hybrid);
-      if (opt.save_var_order) saved_order = save_order(mgr, *enc, sub);
+                                     opt.traces_per_iteration, hybrid_opt,
+                                     &it.hybrid);
+      saved_order = save_order(mgr, *enc, sub);
       if (traces_n.empty()) {
         finish_iteration(it);
         result.note = "hybrid trace engine exhausted candidates";
@@ -455,7 +480,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       // original design. The frame travels out as the certification witness
       // — a BDD fixpoint over this register scope may never have run.
       it.reach_status = ReachStatus::Proved;
-      if (use_bdd && opt.save_var_order) saved_order = save_order(mgr, *enc, sub);
+      if (use_bdd) saved_order = save_order(mgr, *enc, sub);
       result.pdr_invariant.present = true;
       result.pdr_invariant.registers = pdr_probe.scope;
       result.pdr_invariant.clauses = pdr_probe.clauses;
@@ -479,7 +504,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       } else {
         traces_n.push_back(w == Eng::Atpg ? atpg_probe.trace : sim_probe);
       }
-      if (use_bdd && opt.save_var_order) saved_order = save_order(mgr, *enc, sub);
+      if (use_bdd) saved_order = save_order(mgr, *enc, sub);
       RFN_INFO("iter %zu: %s won the abstract race", iter,
                abs_race.winner_name.c_str());
     } else {
@@ -564,7 +589,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     if (use_sim) {
       cjobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
                          sim_cex = random_sim_error_trace(
-                             m, bad, opt.race_sim_cycles,
+                             m, bad, kRaceSimCycles,
                              0xC0FFEEULL + iter, &token);
                          return !sim_cex.empty();
                        }});
@@ -661,7 +686,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // candidate list. Hints only — identify_crucial_registers still vets
     // every one of them — so they steer the refinement, never the verdict.
     RefineOptions refine_opt = opt.refine;
-    if (opt.sat_core_hints && sat_conc.status == AtpgStatus::Unsat) {
+    if (sat_conc.status == AtpgStatus::Unsat) {
       for (GateId r : sat_conc.core_registers)
         if (!std::binary_search(included.begin(), included.end(), r))
           refine_opt.hints.push_back(r);
@@ -744,19 +769,17 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
 // ---------------------------------------------------------------------------
 // VerifySession
 
-namespace {
-
-RfnOptions merge_overrides(const RfnOptions& defaults,
-                           const PropertyRequest::Overrides& o) {
-  RfnOptions r = defaults;
-  if (o.time_limit_s) r.time_limit_s = *o.time_limit_s;
-  if (o.max_iterations) r.max_iterations = *o.max_iterations;
-  if (o.traces_per_iteration) r.traces_per_iteration = *o.traces_per_iteration;
-  if (o.budget_ms) r.budget_ms = *o.budget_ms;
-  if (o.budget_bdd_nodes) r.budget_bdd_nodes = *o.budget_bdd_nodes;
-  if (o.budget_mem_mb) r.budget_mem_mb = *o.budget_mem_mb;
-  return r;
+RfnOptions PropertyRequest::Overrides::apply(RfnOptions base) const {
+  if (time_limit_s) base.time_limit_s = *time_limit_s;
+  if (max_iterations) base.max_iterations = *max_iterations;
+  if (traces_per_iteration) base.traces_per_iteration = *traces_per_iteration;
+  if (budget_ms) base.budget_ms = *budget_ms;
+  if (budget_bdd_nodes) base.budget_bdd_nodes = *budget_bdd_nodes;
+  if (budget_mem_mb) base.budget_mem_mb = *budget_mem_mb;
+  return base;
 }
+
+namespace {
 
 /// Applies the fair-share wall budget: a property run may never exceed its
 /// share of the batch budget (an explicit per-run budget can only tighten it
@@ -765,15 +788,6 @@ void apply_fair_share(RfnOptions& opt, double share_ms) {
   if (share_ms <= 0.0) return;
   opt.budget_ms = opt.budget_ms > 0.0 ? std::min(opt.budget_ms, share_ms)
                                       : share_ms;
-}
-
-std::string join_errors(const std::vector<std::string>& errors) {
-  std::string s;
-  for (const auto& e : errors) {
-    if (!s.empty()) s += "; ";
-    s += e;
-  }
-  return s;
 }
 
 }  // namespace
@@ -789,7 +803,7 @@ void VerifySession::notify(const PropertyResult& r) const {
 
 void VerifySession::run_one(const PropertyRequest& p, double share_ms,
                             PropertyResult& out) const {
-  RfnOptions ro = merge_overrides(opt_.defaults, p.overrides);
+  RfnOptions ro = p.overrides.apply(opt_.defaults);
   apply_fair_share(ro, share_ms);
   RunHooks hooks;
   ReuseCache fresh;
@@ -813,7 +827,7 @@ void VerifySession::run_one(const PropertyRequest& p, double share_ms,
     hooks.subcircuits = &cache.subcircuits;
     hooks.sat_bmc = &cache.sat_bmc;
     hooks.order_io = &cache.order;
-    hooks.order_seeded = &out.order_seeded;
+    out.order_seeded = !cache.order.empty();
     hooks.seed_registers = &seeds;
     hooks.crucial_out = &cache.crucial_hints;
   }
@@ -827,10 +841,6 @@ void VerifySession::run_one(const PropertyRequest& p, double share_ms,
 
 std::vector<PropertyResult> VerifySession::run(
     const std::vector<PropertyRequest>& props) {
-  const std::vector<std::string> errors = opt_.defaults.validate();
-  RFN_CHECK(errors.empty(), "invalid session options: %s",
-            join_errors(errors).c_str());
-
   std::vector<PropertyResult> results(props.size());
   if (props.empty()) return results;
 

@@ -24,8 +24,8 @@
 //      budget per property (enforced by the per-run resource watchdog), so
 //      one hard property cannot starve the batch.
 //
-// RfnVerifier (core/rfn.hpp) is the single-request compatibility wrapper
-// over run_property(), the one-property engine behind every session job.
+// run_property() is the one-property engine behind every session job, and
+// the only way into the abstraction-refinement loop.
 
 #include <functional>
 #include <memory>
@@ -65,6 +65,9 @@ struct PropertyRequest {
       return time_limit_s || max_iterations || traces_per_iteration ||
              budget_ms || budget_bdd_nodes || budget_mem_mb;
     }
+    /// `base` with every set field replaced: the one override merge, used
+    /// by VerifySession, the CLI's single-run path and request validation.
+    RfnOptions apply(RfnOptions base) const;
   } overrides;
 };
 
@@ -199,11 +202,8 @@ struct RunHooks {
   /// Memoized Step-1 subcircuit extraction.
   SubcircuitMemo* subcircuits = nullptr;
   /// In: initial variable-order seed (may be empty). Out: the final saved
-  /// order of the run. Requires opt.save_var_order.
+  /// order of the run.
   SavedOrder* order_io = nullptr;
-  /// Out: set true when a non-empty seed order was applied to the first
-  /// iteration's manager.
-  bool* order_seeded = nullptr;
   /// Registers unioned into the initial abstraction (refinement seeds from
   /// earlier properties). Sound: a larger register set only tightens the
   /// over-approximation.
@@ -216,10 +216,11 @@ struct RunHooks {
   SatBmcPool* sat_bmc = nullptr;
 };
 
-/// The single-property abstraction-refinement engine (the loop that used to
-/// live in RfnVerifier::run). Verifies "`bad` never rises" on `m` under
-/// `opt`, with optional session hooks.
-RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
+/// The single-property abstraction-refinement engine and the only entry to
+/// the loop. Verifies "`bad` never rises" on `m` under `opt`, with optional
+/// session hooks. Invalid options (RfnOptions::validate) are a caller bug:
+/// the run aborts with the collected messages before any engine starts.
+RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt = {},
                        const RunHooks& hooks = {});
 
 class VerifySession {
@@ -228,10 +229,10 @@ class VerifySession {
   explicit VerifySession(const Netlist& m, SessionOptions opt = {});
 
   /// Verifies the batch and returns one result per request, in request
-  /// order. Validates SessionOptions::defaults up front (RfnOptions::
-  /// validate) and aborts with the collected messages on invalid options.
+  /// order. Each property's merged options are checked by run_property,
+  /// which aborts on invalid ones; front doors validate first
+  /// (api::VerifyRequest::validate).
   std::vector<PropertyResult> run(const std::vector<PropertyRequest>& props);
-
 
  private:
   /// One property job: a solo run_property on the session's design.

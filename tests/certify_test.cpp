@@ -12,6 +12,7 @@
 #include "cert/check.hpp"
 #include "cert/format.hpp"
 #include "core/certificate.hpp"
+#include "core/session.hpp"
 #include "designs/builtin.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
@@ -36,20 +37,18 @@ Netlist make_chain(size_t len, bool driver_is_input, GateId* bad_out) {
 TEST(Certify, HoldsVerdictIsCertified) {
   GateId bad;
   Netlist m = make_chain(4, false, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   ASSERT_EQ(res.verdict, Verdict::Holds);
-  const CertifyResult cert = certify(m, bad, res, rfn.abstract_registers());
+  const CertifyResult cert = certify(m, bad, res);
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
 
 TEST(Certify, FailsVerdictIsCertified) {
   GateId bad;
   Netlist m = make_chain(3, true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   ASSERT_EQ(res.verdict, Verdict::Fails);
-  const CertifyResult cert = certify(m, bad, res, rfn.abstract_registers());
+  const CertifyResult cert = certify(m, bad, res);
   EXPECT_TRUE(cert.ok) << cert.detail;
 }
 
@@ -89,7 +88,7 @@ TEST(Certify, UnknownIsNeverCertified) {
   Netlist m = make_chain(2, false, &bad);
   RfnResult unknown;
   unknown.verdict = Verdict::Unknown;
-  EXPECT_FALSE(certify(m, bad, unknown, {}).ok);
+  EXPECT_FALSE(certify(m, bad, unknown).ok);
 }
 
 // --- rfn-cert-v1 witness spec ---
@@ -117,10 +116,10 @@ std::string replaced(std::string text, const std::string& from,
 TEST(CertSpec, HoldsWitnessRoundTripsThroughJson) {
   GateId bad;
   const Netlist m = make_chain(4, false, &bad);
-  RfnVerifier rfn(m, bad);
-  ASSERT_EQ(rfn.run().verdict, Verdict::Holds);
+  const RfnResult res = run_property(m, bad);
+  ASSERT_EQ(res.verdict, Verdict::Holds);
   const CertificateBuild built =
-      build_holds_certificate(m, bad, "bad", rfn.abstract_registers());
+      build_holds_certificate(m, bad, "bad", res.final_registers);
   ASSERT_TRUE(built.ok) << built.detail;
 
   cert::Certificate back;
@@ -140,8 +139,7 @@ TEST(CertSpec, HoldsWitnessRoundTripsThroughJson) {
 TEST(CertSpec, FailsWitnessRoundTripsThroughJson) {
   GateId bad;
   const Netlist m = make_chain(3, true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   ASSERT_EQ(res.verdict, Verdict::Fails);
   const CertificateBuild built =
       build_fails_certificate(m, bad, "bad", res.error_trace);
@@ -277,8 +275,7 @@ void builtin_witness_roundtrip(const char* design, const char* property,
   GateId bad = m.output(property);  // rfn_cli resolution: output, then name
   if (bad == kNullGate) bad = m.find(property);
   ASSERT_NE(bad, kNullGate);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   ASSERT_EQ(res.verdict, expected);
 
   const CertificateArtifact art = certify_with_witness(

@@ -9,7 +9,7 @@
 #include "core/coverage.hpp"
 #include "core/plain_mc.hpp"
 #include "core/refine.hpp"
-#include "core/rfn.hpp"
+#include "core/session.hpp"
 #include "designs/iu.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
@@ -54,8 +54,7 @@ Netlist make_chain(size_t len, bool driver_is_input, GateId* bad_out) {
 TEST(Rfn, ProvesChainPropertyByIterativeRefinement) {
   GateId bad;
   Netlist m = make_chain(4, /*driver_is_input=*/false, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   EXPECT_EQ(res.verdict, Verdict::Holds);
   // The proof needs the whole chain: one register per refinement iteration.
   EXPECT_EQ(res.final_abstract_regs, 4u);
@@ -69,8 +68,7 @@ TEST(Rfn, ProvesChainPropertyByIterativeRefinement) {
 TEST(Rfn, FalsifiesChainWithConcreteTrace) {
   GateId bad;
   Netlist m = make_chain(3, /*driver_is_input=*/true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad);
   ASSERT_EQ(res.verdict, Verdict::Fails);
   EXPECT_EQ(res.error_trace.cycles(), 4u);  // in@1 -> r0@2 -> r1@3 -> r2@4
   EXPECT_EQ(replay(m, res.error_trace, bad), Tri::T);
@@ -93,8 +91,7 @@ TEST(Rfn, ImmediateProofWhenInitialAbstractionSuffices) {
   b.output("bad", bad);
   Netlist m = b.take();
 
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"));
   EXPECT_EQ(res.verdict, Verdict::Holds);
   EXPECT_EQ(res.iterations, 1u);
 }
@@ -110,8 +107,7 @@ TEST(Rfn, DeepBugFoundThroughGuidedAtpg) {
   for (int i = 1; i < 8; ++i) b.set_next(stage[static_cast<size_t>(i)], stage[static_cast<size_t>(i) - 1]);
   b.output("bad", stage.back());
   Netlist m = b.take();
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"));
   ASSERT_EQ(res.verdict, Verdict::Fails);
   EXPECT_EQ(res.error_trace.cycles(), 9u);
   EXPECT_EQ(replay(m, res.error_trace, m.output("bad")), Tri::T);
@@ -225,8 +221,7 @@ TEST_P(RfnVsPlainMc, VerdictsAgree) {
 
     RfnOptions opt;
     opt.time_limit_s = 30.0;
-    RfnVerifier rfn(m, m.output("bad"), opt);
-    const RfnResult res = rfn.run();
+    const RfnResult res = run_property(m, m.output("bad"), opt);
     ASSERT_EQ(res.verdict, truth.verdict) << "round " << round << " note: " << res.note;
     if (res.verdict == Verdict::Fails) {
       EXPECT_EQ(replay(m, res.error_trace, m.output("bad")), Tri::T);
@@ -336,8 +331,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   opt.max_iterations = 60;
   opt.approx_block_size = 6;
   opt.approx_overlap = 2;
-  RfnVerifier rfn(m, m.output("bad"), opt);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
   // The proof must have come from the fallback.
   ASSERT_FALSE(res.per_iteration.empty());
@@ -346,8 +340,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
 
   // Without the fallback the same configuration is Unknown.
   opt.approx_fallback = false;
-  RfnVerifier rfn2(m, m.output("bad"), opt);
-  EXPECT_EQ(rfn2.run().verdict, Verdict::Unknown);
+  EXPECT_EQ(run_property(m, m.output("bad"), opt).verdict, Verdict::Unknown);
 }
 
 }  // namespace

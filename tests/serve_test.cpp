@@ -10,9 +10,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -728,6 +733,73 @@ TEST(ServeEndToEnd, TwoTenantsOnTwoConnections) {
   EXPECT_TRUE(ra.find("ok")->as_bool());
   EXPECT_TRUE(rb.find("ok")->as_bool());
   EXPECT_EQ(server.served(), 2u);
+  server.stop();
+}
+
+// Per-property overrides are validated as merged options before any engine
+// runs, from a --props file and from rfn-req-v1 alike: each bad value gets
+// an error naming the property and the offending key. Unchecked, these
+// hung (traces=-1 wrapped to 2^64-1), clamped silently (traces=0), ran
+// zero iterations (max-iterations=0) or were accepted (a negative budget).
+struct BadOverride {
+  const char* key;
+  const char* text;
+  const char* named;  // how the error names the key
+};
+constexpr BadOverride kBadOverrides[] = {
+    {"traces", "-1", "'traces'"},
+    {"traces", "0", "traces_per_iteration"},
+    {"max-iterations", "0", "max_iterations"},
+    {"budget-bdd-nodes", "-7", "budget_bdd_nodes"},
+};
+
+#ifdef RFN_CLI_PATH
+TEST(ServeEndToEnd, CliRejectsInvalidPropsOverrides) {
+  const std::string props = ::testing::TempDir() + "/bad_overrides.props";
+  const std::string err = ::testing::TempDir() + "/bad_overrides.err";
+  for (const BadOverride& c : kBadOverrides) {
+    // One property takes the single-run path, two the batch path.
+    for (const char* rest : {"", "bad_af_q\n"}) {
+      std::ofstream(props) << "bad_full_q name=watch " << c.key << "="
+                           << c.text << "\n" << rest;
+      const std::string cmd = std::string(RFN_CLI_PATH) +
+                              " verify builtin:fifo --props " + props +
+                              " > /dev/null 2> " + err;
+      const int rc = std::system(cmd.c_str());
+      ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+      EXPECT_EQ(WEXITSTATUS(rc), 2) << c.key << "=" << c.text;
+      std::stringstream msg;
+      msg << std::ifstream(err).rdbuf();
+      EXPECT_NE(msg.str().find("props line 1"), std::string::npos) << msg.str();
+      EXPECT_NE(msg.str().find(c.named), std::string::npos) << msg.str();
+    }
+  }
+  std::remove(props.c_str());
+  std::remove(err.c_str());
+}
+#endif  // RFN_CLI_PATH
+
+TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
+  serve::ServerOptions opt;
+  opt.tcp_port = 0;
+  serve::Server server(opt);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client(server.tcp_port());
+  ASSERT_TRUE(client.connected());
+  for (const BadOverride& c : kBadOverrides) {
+    const json::Value resp = client.transact(json::parse(
+        std::string(R"({"type":"verify","version":"rfn-req-v1",)"
+                    R"("design":{"path":"builtin:fifo"},)"
+                    R"("props":[{"signal":"bad_full_q","overrides":{")") +
+        c.key + "\":" + c.text + "}}]}"));
+    ASSERT_NE(resp.find("ok"), nullptr) << resp.dump();
+    EXPECT_FALSE(resp.find("ok")->as_bool()) << c.key << "=" << c.text;
+    EXPECT_EQ(resp.find("reject_reason")->as_string(), "bad-request");
+    const std::string msg = resp.find("error")->as_string();
+    EXPECT_NE(msg.find("props[0]"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.named), std::string::npos) << msg;
+  }
   server.stop();
 }
 

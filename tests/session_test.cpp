@@ -1,6 +1,6 @@
 // Batch-session tests: options validation, the consolidated status strings,
 // the subcircuit memo, and — the acceptance check — batch verdicts
-// identical to independent single-property RfnVerifier runs on designs with
+// identical to independent single-property run_property runs on designs with
 // identical / nested / overlapping / disjoint property cones.
 
 #include "core/session.hpp"
@@ -55,11 +55,10 @@ TEST(RfnOptionsValidate, ApproxOverlapMustLeaveProgress) {
 TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
   RfnOptions opt;
   opt.race_probe_time_s = -1.0;
-  opt.race_sim_cycles = 0;
   opt.reach.max_live_nodes = 0;
   opt.reach.max_steps = 0;
   const auto errors = opt.validate();
-  EXPECT_EQ(errors.size(), 4u);
+  EXPECT_EQ(errors.size(), 3u);
   EXPECT_TRUE(any_error_contains(errors, "race_probe_time_s"));
   EXPECT_TRUE(any_error_contains(errors, "max_live_nodes"));
 }
@@ -203,7 +202,7 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
   for (GateId bad : bads) props.push_back({"", bad, {}});
   std::vector<Verdict> ref;
   for (GateId bad : bads)
-    ref.push_back(RfnVerifier(fifo.netlist, bad, opt).run().verdict);
+    ref.push_back(run_property(fifo.netlist, bad, opt).verdict);
 
   // Inline, and with concurrent property jobs.
   for (size_t workers : {0, 2}) {
@@ -247,15 +246,26 @@ TEST(VerifySessionTest, InvalidDefaultsDie) {
   EXPECT_DEATH(session.run({{"", c.bad_a, {}}}), "traces_per_iteration");
 }
 
-TEST(RfnVerifierShim, RunTwiceResumesFromRefinedAbstraction) {
+TEST(RunPropertyTest, InvalidOptionsDie) {
+  // run_property guards itself: no front door needs to have validated.
   const Counter c = make_counter();
-  RfnVerifier v(c.n, c.bad_b);
-  const RfnResult first = v.run();
+  RfnOptions opt;
+  opt.max_iterations = 0;
+  EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "max_iterations");
+  opt = {};
+  opt.budget_bdd_nodes = -7;
+  EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "budget_bdd_nodes");
+}
+
+TEST(RunPropertyTest, SeedRegistersResumeFromRefinedAbstraction) {
+  const Counter c = make_counter();
+  const RfnResult first = run_property(c.n, c.bad_b);
   EXPECT_EQ(first.verdict, Verdict::Holds);
-  EXPECT_EQ(first.final_registers, v.abstract_registers());
-  // A second run starts from the refined set: it must reach the same
-  // verdict without shrinking the abstraction.
-  const RfnResult second = v.run();
+  // A second run seeded with the refined set must reach the same verdict
+  // without shrinking the abstraction.
+  RunHooks hooks;
+  hooks.seed_registers = &first.final_registers;
+  const RfnResult second = run_property(c.n, c.bad_b, {}, hooks);
   EXPECT_EQ(second.verdict, Verdict::Holds);
   EXPECT_GE(second.final_registers.size(), first.final_registers.size());
 }

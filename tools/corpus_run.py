@@ -37,8 +37,6 @@ CLI emits per file (`--prof-json`): process-wide RSS high-water mark and
 process CPU for the whole run. Like seconds and engine_wins they are
 informational — machine-dependent, never gated. Both are 0 when the run
 timed out, crashed, or the prof artifact was unreadable.
-tools/trace_report.py --corpus still accepts rfn-corpus-v1 baselines
-(without the two fields) so older committed baselines keep validating.
 
 Usage:
   tools/corpus_run.py --cli build/tools/rfn --check build/tools/rfn_check \

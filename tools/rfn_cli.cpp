@@ -63,7 +63,7 @@
 //                      tracing for the run even without --trace-spans)
 //   --metrics          dump the full metrics registry as JSON on stdout
 //
-// Batch verification (a VerifySession instead of one RfnVerifier): repeat
+// Batch verification (a VerifySession instead of one run_property): repeat
 // --bad, or point --props at a file with one property per line:
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
 //          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
@@ -91,7 +91,7 @@
 // loading is api::load_design, the batch path is api::run_verify (the same
 // run path rfn_serve drives from the socket — a command line and an
 // rfn-req-v1 document are the same computation), and the single-run path is
-// api::run_single. What remains here is flag parsing, the stdout report,
+// one run_property call. What remains here is flag parsing, the stdout report,
 // and the file epilogues (span/prof artifacts, cert/witness exports).
 
 #include <cstdio>
@@ -176,15 +176,6 @@ bool write_prof_json_file(const std::string& path,
 bool write_prof_folded_file(const std::string& path) {
   return write_text_file(
       path, prof::folded_stacks(SpanTracer::global().to_chrome_json()));
-}
-
-/// Rejects invalid options with the messages from RfnOptions::validate()
-/// instead of letting the run clamp or abort mid-flight.
-bool report_invalid(const RfnOptions& rfn_opts) {
-  const std::vector<std::string> errors = rfn_opts.validate();
-  for (const std::string& e : errors)
-    std::fprintf(stderr, "rfn: invalid options: %s\n", e.c_str());
-  return !errors.empty();
 }
 
 /// Span/prof instrumentation around a run: the flags are epilogue artifacts,
@@ -348,25 +339,15 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
 }
 
 int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
-                      const api::VerifyRequest& req, GateId bad,
-                      const std::string& bad_name) {
+                      const RfnOptions& defaults, const PropertyRequest& prop) {
   const Netlist& net = design.netlist;
-  RfnOptions rfn_opts = req.options;
-  if (!req.props.empty() && req.props.front().overrides.any()) {
-    // A one-line --props file still honors its per-property overrides.
-    const PropertyRequest::Overrides& o = req.props.front().overrides;
-    if (o.time_limit_s) rfn_opts.time_limit_s = *o.time_limit_s;
-    if (o.max_iterations) rfn_opts.max_iterations = *o.max_iterations;
-    if (o.traces_per_iteration)
-      rfn_opts.traces_per_iteration = *o.traces_per_iteration;
-    if (o.budget_ms) rfn_opts.budget_ms = *o.budget_ms;
-    if (o.budget_bdd_nodes) rfn_opts.budget_bdd_nodes = *o.budget_bdd_nodes;
-    if (o.budget_mem_mb) rfn_opts.budget_mem_mb = *o.budget_mem_mb;
-    if (report_invalid(rfn_opts)) return 2;
-  }
+  const GateId bad = prop.bad;
+  const std::string& bad_name = prop.name;
+  // A one-line --props file still honors its per-property overrides.
+  const RfnOptions rfn_opts = prop.overrides.apply(defaults);
 
   ProfScope prof(opts);
-  const RfnResult result = api::run_single(net, bad, rfn_opts);
+  const RfnResult result = run_property(net, bad, rfn_opts);
   if (!prof.finish(result.metrics_baseline, result.seconds, prof.cpu_seconds(),
                    rfn_opts.portfolio_workers))
     return 2;
@@ -479,7 +460,6 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
     while (std::getline(es, e, ','))
       if (!e.empty()) req.options.engines.push_back(e);
   }
-  if (report_invalid(req.options)) return 2;
   req.session_workers =
       static_cast<size_t>(opts.get_int("session-workers", 0));
   req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);
@@ -521,6 +501,12 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
       req.props.push_back(std::move(spec));
     }
   }
+  // Invalid options, per-property overrides included, fail before any
+  // engine runs.
+  const std::vector<std::string> invalid = req.validate();
+  for (const std::string& e : invalid)
+    std::fprintf(stderr, "rfn: invalid options: %s\n", e.c_str());
+  if (!invalid.empty()) return 2;
   // An AIGER design with no explicit selection verifies its whole property
   // list (each bad output, or each output pre-1.9 style) as one batch.
   const size_t effective =
@@ -529,38 +515,18 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
     return cmd_verify_batch(design, opts, std::move(req));
 
   // Single-run path (rfn-trace-v1): exactly what `rfn verify` without a
-  // batch always did. The property label and its gate resolve separately —
-  // an unnamed one-line --props file keeps the conventional "bad" label
-  // while verifying the signal the line named, and an AIGER property's
-  // label ("b0") is not a netlist signal name at all.
-  GateId bad = kNullGate;
-  std::string bad_name;
-  if (!req.props.empty()) {
-    const api::PropertySpec& spec = req.props.front();
-    bad = api::find_signal(design.netlist, spec.signal);
-    if (bad == kNullGate) {
-      if (spec.origin.empty()) {
-        std::fprintf(stderr, "rfn: no signal named '%s'\n",
-                     spec.signal.c_str());
-      } else {
-        std::fprintf(stderr, "rfn: %s: no signal named '%s'\n",
-                     spec.origin.c_str(), spec.signal.c_str());
-      }
-      return 2;
-    }
-    bad_name = spec.name.empty() ? opts.get("bad", "bad") : spec.name;
-  } else if (!design.aiger_properties.empty()) {
-    bad = design.aiger_properties.front().signal;
-    bad_name = design.aiger_properties.front().name;
-  } else {
-    bad_name = opts.get("bad", "bad");
-    bad = api::find_signal(design.netlist, bad_name);
-    if (bad == kNullGate) {
-      std::fprintf(stderr, "rfn: no signal named '%s'\n", bad_name.c_str());
-      return 2;
-    }
+  // batch always did. An unnamed one-line --props file keeps the
+  // conventional "bad" label while verifying the signal the line named, and
+  // an AIGER property's label ("b0") is not a netlist signal name at all.
+  std::vector<PropertyRequest> props;
+  std::string error;
+  if (!api::resolve_properties(design.netlist, design.aiger_properties,
+                               req.props, &props, &error)) {
+    std::fprintf(stderr, "rfn: %s\n", error.c_str());
+    return 2;
   }
-  return cmd_verify_single(design, opts, req, bad, bad_name);
+  if (props.front().name.empty()) props.front().name = "bad";
+  return cmd_verify_single(design, opts, req.options, props.front());
 }
 
 int cmd_coverage(const Netlist& design, const Options& opts) {
