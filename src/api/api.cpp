@@ -1,9 +1,11 @@
 #include "api/api.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "cert/format.hpp"
@@ -56,11 +58,15 @@ bool want_double(const json::Value& v, const std::string& ctx, double* out,
 
 bool want_size(const json::Value& v, const std::string& ctx, size_t* out,
                std::string* error) {
-  if (!v.is_number() || v.as_double() < 0) {
-    *error = ctx + " must be a non-negative number";
+  // Counts must be whole and at most 2^53, where every integer is an exact
+  // double: casting a fraction truncates it, and casting a double past
+  // SIZE_MAX (1e30) is undefined behaviour.
+  const double d = v.is_number() ? v.as_double() : -1.0;
+  if (!(d >= 0.0 && d <= 0x1p53 && d == std::floor(d))) {
+    *error = ctx + " must be a non-negative integer no larger than 2^53";
     return false;
   }
-  *out = static_cast<size_t>(v.as_double());
+  *out = static_cast<size_t>(d);
   return true;
 }
 
@@ -80,15 +86,18 @@ std::string override_text(const json::Value& v) {
   return v.is_string() ? v.as_string() : v.dump();
 }
 
-/// std::stoul accepts a leading '-' and wraps it ("-1" becomes 2^64-1), so
-/// negative text is rejected before conversion.
-size_t parse_size(const std::string& text) {
+}  // namespace
+
+size_t parse_count(const std::string& text) {
+  // std::stoul accepts a leading '-' and wraps it, so negative text is
+  // rejected before conversion; trailing text ("3x") is rejected after.
   if (text.find('-') != std::string::npos)
     throw std::invalid_argument("negative count");
-  return std::stoul(text);
+  size_t end = 0;
+  const size_t n = std::stoul(text, &end, 10);
+  if (end != text.size()) throw std::invalid_argument("trailing text");
+  return n;
 }
-
-}  // namespace
 
 GateId find_signal(const Netlist& n, const std::string& name) {
   GateId g = n.find(name);
@@ -104,9 +113,9 @@ bool apply_override(const std::string& key, const std::string& value,
     } else if (key == "time-limit") {
       out->overrides.time_limit_s = std::stod(value);
     } else if (key == "max-iterations") {
-      out->overrides.max_iterations = parse_size(value);
+      out->overrides.max_iterations = parse_count(value);
     } else if (key == "traces") {
-      out->overrides.traces_per_iteration = parse_size(value);
+      out->overrides.traces_per_iteration = parse_count(value);
     } else if (key == "budget-ms") {
       out->overrides.budget_ms = std::stod(value);
     } else if (key == "budget-bdd-nodes") {
@@ -154,9 +163,16 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 std::vector<std::string> VerifyRequest::validate() const {
   // The single choke point: the engine knobs' own validation, then each
   // property's options as its overrides leave them, reported under the
-  // property's origin and label. Session knobs are valid by construction
-  // (any worker count runs; a non-positive batch budget means none).
+  // property's origin and label. Of the session knobs only the worker
+  // count can be invalid (a non-positive batch budget means none).
   std::vector<std::string> errors = options.validate();
+  const size_t max_workers =
+      std::max(1u, std::thread::hardware_concurrency());  // 0 = unknown
+  if (session_workers > max_workers)
+    errors.push_back("session.workers must be <= " +
+                     std::to_string(max_workers) +
+                     " (hardware threads), got " +
+                     std::to_string(session_workers));
   for (size_t i = 0; i < props.size(); ++i) {
     const PropertySpec& p = props[i];
     if (!p.overrides.any()) continue;
@@ -215,7 +231,6 @@ json::Value VerifyRequest::to_json() const {
   opt.set("time-limit", options.time_limit_s);
   opt.set("max-iterations", options.max_iterations);
   opt.set("traces", options.traces_per_iteration);
-  opt.set("workers", options.portfolio_workers);
   if (!options.engines.empty()) {
     Value engines = Value::array();
     for (const std::string& e : options.engines) engines.push(e);
@@ -322,8 +337,6 @@ bool parse_options(const json::Value& v, RfnOptions* out, std::string* error) {
       if (!want_size(val, ctx, &out->max_iterations, error)) return false;
     } else if (key == "traces") {
       if (!want_size(val, ctx, &out->traces_per_iteration, error)) return false;
-    } else if (key == "workers") {
-      if (!want_size(val, ctx, &out->portfolio_workers, error)) return false;
     } else if (key == "engines") {
       if (!val.is_array()) {
         *error = ctx + " must be an array of engine names";

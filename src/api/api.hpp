@@ -62,6 +62,12 @@ struct PropertySpec {
   std::string origin;
 };
 
+/// Parses a count ("traces=3", `--session-workers 4`): base-10 digits
+/// only. Throws std::invalid_argument or std::out_of_range on negative,
+/// non-numeric or trailing text, where std::stoul alone would wrap "-1" to
+/// 2^64-1. The --props overrides and rfn_cli's count flags share it.
+size_t parse_count(const std::string& text);
+
 /// Applies one key=value override ("name" included). False with a message
 /// on unknown keys; the same spellings everywhere.
 bool apply_override(const std::string& key, const std::string& value,
@@ -81,7 +87,7 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///                           "traces":..,"budget-ms":..,
 ///                           "budget-bdd-nodes":..,"budget-mem-mb":..}}],
 ///    "options":{"time-limit":..,"max-iterations":..,"traces":..,
-///               "workers":..,"engines":["bdd",..],"approx-fallback":..,
+///               "engines":["bdd",..],"approx-fallback":..,
 ///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
 ///    "session":{"workers":..,"batch-budget-ms":..,"reuse":..,"batch":..},
 ///    "certify":..,"inline-certificates":..}
@@ -113,7 +119,10 @@ struct VerifyRequest {
 
   /// The one validation choke point: RfnOptions::validate() on the request
   /// options and on each property's options after its overrides (messages
-  /// prefixed by the property's origin and label). Empty means valid.
+  /// prefixed by the property's origin and label), plus the session worker
+  /// count, capped at std::thread::hardware_concurrency() because the
+  /// session executor starts every worker thread up front. Empty means
+  /// valid.
   std::vector<std::string> validate() const;
 
   json::Value to_json() const;

@@ -1,26 +1,20 @@
 #pragma once
-// Engine-portfolio scheduler: race heterogeneous engines against one proof
-// obligation and keep the first conclusive verdict.
+// Engine-portfolio race: try heterogeneous engines on one proof obligation
+// in priority order and keep the first conclusive verdict.
 //
-// The paper's power comes from combining formal, simulation and hybrid
-// engines; this scheduler lets them run concurrently instead of
-// back-to-back. Each engine is wrapped as a closure that polls a CancelToken
-// at its step boundaries and returns true when it reached a conclusive
-// verdict (storing its payload wherever the closure captured it — each job
-// writes only its own slot, so slots need no locking). race() returns after
-// every *started* job has finished, which is what makes reading the slots
-// afterwards data-race-free; losers are expected to notice the cancelled
-// token within one engine step, and the portfolio tests pin that latency.
+// The paper runs its engines as a fixed sequence (BDD fixpoint, then the
+// hybrid trace engine, then guided sequential ATPG); a race generalizes that
+// sequence to a list of jobs. Each engine is wrapped as a closure that polls
+// a CancelToken at its step boundaries and returns true when it reached a
+// conclusive verdict (storing its payload wherever the closure captured it).
+// race() runs the jobs one after another on the calling thread, each under
+// its own budget chained to the caller's token, and stops at the first
+// conclusive one: the jobs behind it never start. List order is therefore
+// the engine priority order.
 //
-// Ownership rule the tests lock in: BDD managers are single-owner. A job
-// that needs BDDs creates (or exclusively borrows) its own BddMgr; no two
-// concurrent jobs may ever touch the same manager. Netlists are immutable
+// Ownership rule: BDD managers are single-owner. A job that needs BDDs
+// creates (or exclusively borrows) its own BddMgr. Netlists are immutable
 // after construction and safe to share read-only.
-//
-// With a zero- or one-worker executor the race degrades to sequential
-// in-order execution: the first conclusive job cancels the ones behind it in
-// the queue, which then never run. Sequential order is therefore also the
-// engine priority order.
 
 #include <cstddef>
 #include <functional>
@@ -28,7 +22,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/executor.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace rfn {
@@ -37,7 +31,7 @@ struct PortfolioJob {
   /// Engine name for the winner histogram and logs.
   std::string name;
   /// Per-job wall-clock budget (seconds); negative = unlimited. The budget
-  /// starts when the job starts running, not when it is enqueued.
+  /// starts when the job starts running.
   double time_limit_s = -1.0;
   /// The engine closure. Must poll `cancel` at step boundaries and return
   /// true iff it reached a conclusive verdict.
@@ -51,33 +45,20 @@ struct RaceResult {
   size_t winner = static_cast<size_t>(-1);
   std::string winner_name;
   double seconds = 0.0;
-  /// Thread-CPU seconds summed over every launched job (winner, losers and
-  /// cancelled alike), measured per job via CLOCK_THREAD_CPUTIME_ID. With
-  /// workers racing this exceeds `seconds`; sequential it cannot.
+  /// Thread-CPU seconds summed over every launched job (winner and
+  /// inconclusive alike), measured per job via CLOCK_THREAD_CPUTIME_ID.
   double cpu_seconds = 0.0;
   size_t launched = 0;
   size_t cancelled = 0;
 };
 
-class Portfolio {
- public:
-  /// `workers` = 0 runs jobs sequentially inline; otherwise a fixed pool of
-  /// that many threads is shared by all races of this portfolio.
-  explicit Portfolio(size_t workers);
-
-  /// Races `jobs` and returns once every started job has finished. The
-  /// first job to report a conclusive verdict wins and cancels the rest
-  /// (running jobs see their token flip; queued jobs are skipped). An
-  /// optional `parent` token cancels the whole race from outside.
-  /// Not itself thread-safe: one race at a time per Portfolio.
-  RaceResult race(const std::vector<PortfolioJob>& jobs,
-                  const CancelToken* parent = nullptr);
-
-  size_t workers() const { return exec_.workers(); }
-
- private:
-  Executor exec_;
-};
+/// Runs `jobs` in order until one reports a conclusive verdict. Jobs behind
+/// the winner are skipped and count as cancelled, as are jobs skipped
+/// because the optional `parent` token was cancelled from outside; a job
+/// that ends inconclusive while `parent` is cancelled counts as cancelled
+/// too. Records the portfolio.* counters and engine.cpu.* timers.
+RaceResult race(const std::vector<PortfolioJob>& jobs,
+                const CancelToken* parent = nullptr);
 
 // --- Engine adapters ---
 

@@ -37,12 +37,6 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("max_iterations must be >= 1");
   if (traces_per_iteration == 0)
     errors.push_back("traces_per_iteration must be >= 1");
-  if (approx_fallback && approx_block_size == 0)
-    errors.push_back("approx_block_size must be >= 1");
-  if (approx_fallback && approx_overlap >= approx_block_size)
-    errors.push_back(
-        "approx_overlap must be smaller than approx_block_size (blocks must "
-        "make forward progress)");
   if (budget_bdd_nodes < 0)
     errors.push_back("budget_bdd_nodes must be >= 0 (0 disables the budget)");
   if (budget_mem_mb < 0)

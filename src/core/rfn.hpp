@@ -24,7 +24,7 @@
 #include "core/refine.hpp"
 #include "mc/reach.hpp"
 #include "netlist/netlist.hpp"
-#include "util/executor.hpp"
+#include "util/cancel.hpp"
 #include "util/metrics.hpp"
 #include "util/stopwatch.hpp"
 
@@ -45,21 +45,11 @@ struct RfnOptions {
   /// retry with the overlapping-partition approximate traversal (the
   /// paper's future-work engine): a Proved there is still a proof.
   bool approx_fallback = true;
-  /// Block sizing for the approximate traversal.
-  size_t approx_block_size = 12;
-  size_t approx_overlap = 4;
   /// How many abstract error traces Step 2 extracts per iteration. With
   /// more than one, Step 3 guides sequential ATPG with the whole set (the
   /// paper's second future-work direction), falling back to consensus
   /// guidance when each individual trace is spurious.
   size_t traces_per_iteration = 1;
-  /// Worker threads for the Step-2 / Step-3 engine races. 0 runs the race
-  /// jobs sequentially inline in priority order (BDD reachability before the
-  /// ATPG/simulation probes; guided ATPG before random simulation), which
-  /// keeps the pre-portfolio behavior: the probe engines only run when the
-  /// primary engine is inconclusive. Verdicts are identical either way —
-  /// every engine is sound — only the winner (and wall time) changes.
-  size_t portfolio_workers = 0;
   /// Wall budget (seconds) for each probe engine per race; the primary
   /// engines (BDD fixpoint, guided ATPG) keep their own limits.
   double race_probe_time_s = 2.0;
@@ -157,8 +147,7 @@ struct RfnIteration {
   /// proof_shrink is off or no bounded-UNSAT proof was available).
   size_t shrunk_registers = 0;
   /// Wall time of the Step-2 / Step-3 engine races, and the thread-CPU time
-  /// their jobs burned (winner, losers and cancelled alike; see
-  /// RaceResult::cpu_seconds).
+  /// their launched jobs burned (see RaceResult::cpu_seconds).
   double abstract_race_seconds = 0.0;
   double concretize_race_seconds = 0.0;
   double abstract_race_cpu_seconds = 0.0;
@@ -197,10 +186,8 @@ struct RfnResult {
   /// (RunHooks::seed_registers).
   std::vector<GateId> final_registers;
   double seconds = 0.0;
-  /// Thread-CPU seconds attributable to this run: the calling thread's CPU
-  /// over run_property() plus, when portfolio workers raced off-thread, the
-  /// CPU their jobs burned (sequential runs execute jobs inline, already
-  /// counted).
+  /// Thread-CPU seconds of the calling thread over run_property(); every
+  /// engine race runs on that thread, so this covers them.
   double cpu_seconds = 0.0;
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts

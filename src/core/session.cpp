@@ -123,6 +123,10 @@ constexpr size_t kRaceSimCycles = 512;
 constexpr size_t kRaceAtpgMaxDepth = 48;
 constexpr uint64_t kRaceAtpgBacktracks = 1u << 14;
 constexpr size_t kRaceSatMaxDepth = 48;
+// Block sizing of the overlapping-partition approximate traversal (the
+// approx_fallback engine).
+constexpr size_t kApproxBlockSize = 12;
+constexpr size_t kApproxOverlap = 4;
 
 std::string join_errors(const std::vector<std::string>& errors) {
   std::string s;
@@ -148,12 +152,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   result.metrics_baseline = epoch.baseline();
   Span run_span("rfn.run");
   const Deadline deadline(opt.time_limit_s);
-  // CPU attribution: this thread's CPU over the whole run, plus — when
-  // portfolio workers race off-thread — the CPU their jobs burned. With zero
-  // workers the jobs run inline on this thread and are already in the first
-  // term, so adding race CPU again would double-count.
+  // CPU attribution: every engine race runs on this thread, so its CPU over
+  // the whole run covers them.
   const int64_t run_cpu0 = prof::thread_cpu_ns();
-  double off_thread_race_cpu_s = 0.0;
 
   // Session seeding: the saved variable order and crucial-register hints of
   // earlier properties. Both are hints — they shape which abstract models
@@ -209,8 +210,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   if (opt.engine_enabled("sat")) {
     // The pooled instance carries learned clauses and unrolled frames across
     // runs; without a pool the instance still persists across this run's
-    // iterations and races (the race barrier is the happens-before edge —
-    // single-owner, like a BddMgr).
+    // iterations and races (single-owner, like a BddMgr).
     if (hooks.sat_bmc != nullptr) {
       sat_bmc = &hooks.sat_bmc->get(m);
     } else {
@@ -237,10 +237,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // the profiler's RSS sampler: it can never trip, so cancellation stays on
   // the caller's token.
   if (budgeted || wd_opt.sample_rss) watchdog.start();
-
-  // One scheduler (and thread pool) for the whole run; with zero workers the
-  // races run their jobs sequentially inline, in priority order.
-  Portfolio portfolio(opt.portfolio_workers);
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
     if (deadline.expired()) {
@@ -364,15 +360,13 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                    : std::min(pdr_race_s, deadline.remaining_seconds()))
             : pdr_race_s;
 
-    // Up to four engines race the abstract obligation. BDD reachability is
-    // the only one that can *prove*; the sequential-ATPG, random-simulation
-    // and SAT BMC probes can only *find* an abstract error trace — but when
-    // they do, the trace is exact and the (cancelled) fixpoint is not needed
-    // at all. The BddMgr above is owned by the bdd-reach job for the
-    // duration of the race (single-owner rule), and so is the incremental
-    // SAT instance by the sat-bmc job; the other probes touch only the
-    // immutable netlist. Jobs carry engine tags because the lineup depends
-    // on opt.engines — winner indices alone say nothing.
+    // Up to five engines race the abstract obligation, in this priority
+    // order. BDD reachability and PDR can *prove*; the sequential-ATPG,
+    // random-simulation and SAT BMC probes can only *find* an abstract
+    // error trace — but when they do, the trace is exact, so a probe that
+    // wins after an inconclusive fixpoint still drives Steps 3-4. Jobs
+    // carry engine tags because the lineup depends on opt.engines — winner
+    // indices alone say nothing.
     enum class Eng { Bdd, Atpg, Sim, Sat, Pdr };
     ReachResult reach;
     SeqAtpgResult atpg_probe;
@@ -444,11 +438,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                       }});
       tags.push_back(Eng::Pdr);
     }
-    const RaceResult abs_race = portfolio.race(jobs, cancel);
+    const RaceResult abs_race = race(jobs, cancel);
     it.abstract_engine = abs_race.winner_name;
     it.abstract_race_seconds = abs_race.seconds;
     it.abstract_race_cpu_seconds = abs_race.cpu_seconds;
-    if (opt.portfolio_workers > 0) off_thread_race_cpu_s += abs_race.cpu_seconds;
     it.reach_status = use_bdd ? reach.status : ReachStatus::ResourceOut;
     it.reach_steps = reach.steps;
 
@@ -490,9 +483,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                pdr_probe.stats.frames);
       break;
     } else if (abs_race.conclusive) {
-      // A probe engine found an abstract error trace while the fixpoint was
-      // still running: the trace is a real trace of the abstract model, so
-      // the obligation is BadReachable without any rings.
+      // A probe engine found an abstract error trace after the fixpoint (if
+      // enabled) was inconclusive: the trace is a real trace of the abstract
+      // model, so the obligation is BadReachable without any rings.
       it.reach_status = ReachStatus::BadReachable;
       const Eng w = tags[abs_race.winner];
       if (w == Eng::Sat || w == Eng::Pdr) {
@@ -517,8 +510,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         // cannot complete on a large abstract model.
         it.approx_used = true;
         ApproxReachOptions aopt;
-        aopt.block_size = opt.approx_block_size;
-        aopt.overlap = opt.approx_overlap;
+        aopt.block_size = kApproxBlockSize;
+        aopt.overlap = kApproxOverlap;
         aopt.time_limit_s = opt.time_limit_s >= 0.0 ? deadline.remaining_seconds()
                                                     : reach_opt.time_limit_s;
         aopt.max_live_nodes = reach_opt.max_live_nodes;
@@ -620,11 +613,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       ctags.push_back(Eng::Pdr);
     }
     RaceResult conc_race;
-    if (!cjobs.empty()) conc_race = portfolio.race(cjobs, cancel);
+    if (!cjobs.empty()) conc_race = race(cjobs, cancel);
     it.concretize_engine = conc_race.winner_name;
     it.concretize_race_seconds = conc_race.seconds;
     it.concretize_race_cpu_seconds = conc_race.cpu_seconds;
-    if (opt.portfolio_workers > 0) off_thread_race_cpu_s += conc_race.cpu_seconds;
     if (conc_race.conclusive) {
       const Eng w = ctags[conc_race.winner];
       if (w == Eng::Sim) {
@@ -730,8 +722,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   result.final_abstract_regs = result.final_registers.size();
   result.seconds = deadline.elapsed_seconds();
   result.cpu_seconds =
-      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9 +
-      off_thread_race_cpu_s;
+      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9;
   if (hooks.order_io != nullptr) *hooks.order_io = std::move(saved_order);
 
   // Joining the monitor thread is the happens-before edge for reading the

@@ -94,8 +94,8 @@ struct SessionOptions {
   /// Baseline RfnOptions each property run starts from.
   RfnOptions defaults;
   /// Worker threads running property jobs concurrently (0 = inline, in
-  /// request order). Independent of the per-run RfnOptions::
-  /// portfolio_workers engine races.
+  /// request order). Each property run keeps its engine races on its own
+  /// thread.
   size_t workers = 0;
   /// Whole-batch wall budget, split fair-share across properties: each
   /// property run gets budget / #properties, enforced through

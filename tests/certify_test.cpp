@@ -254,14 +254,22 @@ TEST(CertSpec, CheckerNamesTheFailingObligation) {
   EXPECT_EQ(res.obligation, cert::kObligationDesignHash);
   EXPECT_NE(res.detail.find(design_hash_hex(other)), std::string::npos);
 
-  // Structural misfit on the right design: a scope id that is no register.
+  // Structural misfit on the right design: a scope id past the end of the
+  // one-gate latch netlist...
+  ASSERT_EQ(m.size(), 1u);
   cert::Certificate misfit = built.certificate;
-  misfit.registers = {bad == 0 ? GateId{1} : GateId{0}};
-  if (!m.is_reg(misfit.registers[0])) {
-    res = cert::check_certificate(m, misfit);
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.obligation, cert::kObligationFormat);
-  }
+  misfit.registers = {GateId{1}};
+  res = cert::check_certificate(m, misfit);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.obligation, cert::kObligationFormat);
+
+  // ...and an in-range scope id that is a gate, not a register (m2's bad).
+  ASSERT_FALSE(m2.is_reg(m2.output("bad")));
+  misfit = drift;
+  misfit.registers = {m2.output("bad")};
+  res = cert::check_certificate(m2, misfit);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.obligation, cert::kObligationFormat);
 }
 
 // End-to-end witness spec per builtin design: verify, build the

@@ -329,8 +329,6 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   // model's fixpoint needs 5+ image steps, which only the fallback gets.
   opt.reach.max_steps = 3;
   opt.max_iterations = 60;
-  opt.approx_block_size = 6;
-  opt.approx_overlap = 2;
   const RfnResult res = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
   // The proof must have come from the fallback.

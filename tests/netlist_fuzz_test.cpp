@@ -15,7 +15,8 @@
 //   * the BFS coverage baseline: with the full register set its
 //     unreachable-state count matches exhaustive enumeration of the BDD
 //     fixpoint;
-//   * the full RFN loop, sequential vs portfolio: same verdict.
+//   * the full RFN loop: same verdict as the BDD ground truth, with a
+//     certificate the independent checker accepts.
 //
 // Disagreements dump the failing netlist (BLIF + generator seed) into
 // RFN_FUZZ_DUMP_DIR for offline triage.
@@ -321,60 +322,55 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
         << "BFS baseline unreachable count disagrees with BDD enumeration";
   }
 
-  // Full RFN loop, sequential vs portfolio: the acceptance criterion.
+  // Full RFN loop: the acceptance criterion.
   // Expensive relative to the checks above, so sample every 8th netlist.
   if (round % 8 == 0) {
     const Verdict expect = reach.status == ReachStatus::BadReachable
                                ? Verdict::Fails
                                : Verdict::Holds;
-    for (const size_t workers : {size_t{0}, size_t{2}}) {
-      RfnOptions opt;
-      opt.portfolio_workers = workers;
-      opt.race_probe_time_s = 0.25;
-      const RfnResult res = run_property(m, bad, opt);
-      EXPECT_EQ(res.verdict, expect)
-          << "RFN (workers=" << workers << ") disagrees with the BDD ground "
-          << "truth; note: " << res.note;
-      if (res.verdict == Verdict::Fails) {
-        EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T)
-            << "RFN error trace (workers=" << workers << ") does not replay";
-      }
+    RfnOptions opt;
+    opt.race_probe_time_s = 0.25;
+    const RfnResult res = run_property(m, bad, opt);
+    ASSERT_EQ(res.verdict, expect)
+        << "RFN disagrees with the BDD ground truth; note: " << res.note;
+    if (res.verdict == Verdict::Fails) {
+      EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T)
+          << "RFN error trace does not replay";
+    }
 
-      // Certificate round trip on the concluded verdict: extraction,
-      // serialize + reparse, and the independent SAT checker must accept
-      // the witness the verdict earned...
-      if (res.verdict != expect) continue;
-      const CertificateBuild built =
-          res.verdict == Verdict::Holds
-              ? build_holds_certificate(m, bad, "bad", res.final_registers)
-              : build_fails_certificate(m, bad, "bad", res.error_trace);
-      ASSERT_TRUE(built.ok) << "workers=" << workers << ": " << built.detail;
-      cert::Certificate back;
-      std::string cert_err;
-      ASSERT_TRUE(
-          cert::from_json(cert::to_json(built.certificate), &back, &cert_err))
-          << cert_err;
-      const cert::CheckResult chk = cert::check_certificate(m, back);
-      EXPECT_TRUE(chk.ok) << "workers=" << workers << ", verdict "
-                          << to_string(res.verdict) << ": obligation "
-                          << chk.obligation << ": " << chk.detail;
+    // Certificate round trip on the concluded verdict: extraction,
+    // serialize + reparse, and the independent SAT checker must accept
+    // the witness the verdict earned...
+    const CertificateBuild built =
+        res.verdict == Verdict::Holds
+            ? build_holds_certificate(m, bad, "bad", res.final_registers)
+            : build_fails_certificate(m, bad, "bad", res.error_trace);
+    ASSERT_TRUE(built.ok) << built.detail;
+    cert::Certificate back;
+    std::string cert_err;
+    ASSERT_TRUE(
+        cert::from_json(cert::to_json(built.certificate), &back, &cert_err))
+        << cert_err;
+    const cert::CheckResult chk = cert::check_certificate(m, back);
+    EXPECT_TRUE(chk.ok) << "verdict " << to_string(res.verdict)
+                        << ": obligation " << chk.obligation << ": "
+                        << chk.detail;
 
-      // ...and a deliberately mutated invariant must be refused. Weakening
-      // Inv to `true` on a design whose bad is truly reachable leaves the
-      // safety obligation nothing to stand on.
-      if (res.verdict == Verdict::Fails) {
-        cert::Certificate mutated;
-        mutated.kind = cert::CertKind::HoldsInvariant;
-        mutated.design_hash = design_hash(m);
-        mutated.design_regs = m.num_regs();
-        mutated.property_name = "bad";
-        mutated.bad = bad;
-        mutated.registers = m.regs();
-        const cert::CheckResult rej = cert::check_certificate(m, mutated);
-        EXPECT_FALSE(rej.ok)
-            << "checker accepted a holds witness for a violated property";
-        EXPECT_EQ(rej.obligation, cert::kObligationSafety);
-      }
+    // ...and a deliberately mutated invariant must be refused. Weakening
+    // Inv to `true` on a design whose bad is truly reachable leaves the
+    // safety obligation nothing to stand on.
+    if (res.verdict == Verdict::Fails) {
+      cert::Certificate mutated;
+      mutated.kind = cert::CertKind::HoldsInvariant;
+      mutated.design_hash = design_hash(m);
+      mutated.design_regs = m.num_regs();
+      mutated.property_name = "bad";
+      mutated.bad = bad;
+      mutated.registers = m.regs();
+      const cert::CheckResult rej = cert::check_certificate(m, mutated);
+      EXPECT_FALSE(rej.ok)
+          << "checker accepted a holds witness for a violated property";
+      EXPECT_EQ(rej.obligation, cert::kObligationSafety);
     }
 
     // The proof-based shrink invariant: the grow/shrink loop must reach the

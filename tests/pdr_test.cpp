@@ -218,7 +218,6 @@ TEST(Refine, ProofShrinkDropsRegistersOnProcessor) {
   const GateId bad = m.output("bad_mutex");
   RfnOptions opt;
   opt.engines = {"bdd", "sat"};
-  opt.portfolio_workers = 0;
   opt.proof_shrink = true;
   const RfnResult res = run_property(m, bad, opt);
   EXPECT_EQ(res.verdict, Verdict::Holds);

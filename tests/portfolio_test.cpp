@@ -1,23 +1,24 @@
-// Portfolio scheduler tests: racing semantics, cancellation latency,
-// sequential degradation, per-engine cancellation hooks, and the
-// one-BddMgr-per-worker ownership rule (exercised under TSan via
-// -DRFN_SANITIZE=thread).
+// Portfolio race tests: priority order, per-job budgets, parent
+// cancellation, stats, per-engine cancellation hooks, and the
+// one-BddMgr-per-worker ownership rule that session workers rely on
+// (exercised under TSan via -DRFN_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "atpg/seq_atpg.hpp"
 #include "core/hybrid_trace.hpp"
 #include "core/portfolio.hpp"
-#include "core/session.hpp"
-#include "designs/fifo.hpp"
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
+#include "util/executor.hpp"
 #include "util/metrics.hpp"
 #include "util/stopwatch.hpp"
 
@@ -52,64 +53,29 @@ Netlist make_counter_safe() {
   return b.take();
 }
 
-TEST(Portfolio, FastConclusiveJobCancelsSlowJob) {
-  Portfolio p(2);
-  std::atomic<bool> slow_saw_cancel{false};
+TEST(Portfolio, SequentialDegradationRunsInPriorityOrder) {
+  std::vector<int> order;
+  auto recording_job = [&](int id, bool conclusive) {
+    return PortfolioJob{"job" + std::to_string(id), -1.0,
+                        [&order, id, conclusive](const CancelToken&) {
+                          order.push_back(id);
+                          return conclusive;
+                        }};
+  };
   std::vector<PortfolioJob> jobs;
-  jobs.push_back({"slow", -1.0, [&](const CancelToken& token) {
-                    // Would run ~5 s; must be cut short by the winner well
-                    // within its 1 ms polling granularity.
-                    for (int i = 0; i < 5000; ++i) {
-                      if (token.cancelled()) {
-                        slow_saw_cancel = true;
-                        return false;
-                      }
-                      sleep_ms(1);
-                    }
-                    return false;
-                  }});
-  jobs.push_back({"fast", -1.0, [&](const CancelToken&) {
-                    sleep_ms(10);
-                    return true;
-                  }});
-  const RaceResult r = p.race(jobs);
+  jobs.push_back(recording_job(0, false));  // inconclusive, runs first
+  jobs.push_back(recording_job(1, true));   // wins
+  jobs.push_back(recording_job(2, true));   // behind the winner: skipped
+  const RaceResult r = race(jobs);
   EXPECT_TRUE(r.conclusive);
   EXPECT_EQ(r.winner, 1u);
-  EXPECT_EQ(r.winner_name, "fast");
-  EXPECT_TRUE(slow_saw_cancel.load());
-  // Cancellation latency: the race ends when the loser notices the token,
-  // which is bounded by its poll period, not by its 5 s natural runtime.
-  EXPECT_LT(r.seconds, 1.0);
+  EXPECT_EQ(r.winner_name, "job1");
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(r.launched, 2u);
   EXPECT_EQ(r.cancelled, 1u);
 }
 
-TEST(Portfolio, SequentialDegradationRunsInPriorityOrder) {
-  for (const size_t workers : {size_t{0}, size_t{1}}) {
-    Portfolio p(workers);
-    std::vector<int> order;
-    auto recording_job = [&](int id, bool conclusive) {
-      return PortfolioJob{"job" + std::to_string(id), -1.0,
-                          [&order, id, conclusive](const CancelToken&) {
-                            order.push_back(id);
-                            return conclusive;
-                          }};
-    };
-    std::vector<PortfolioJob> jobs;
-    jobs.push_back(recording_job(0, false));  // inconclusive, runs first
-    jobs.push_back(recording_job(1, true));   // wins
-    jobs.push_back(recording_job(2, true));   // behind the winner: skipped
-    const RaceResult r = p.race(jobs);
-    EXPECT_TRUE(r.conclusive) << "workers=" << workers;
-    EXPECT_EQ(r.winner, 1u) << "workers=" << workers;
-    EXPECT_EQ(order, (std::vector<int>{0, 1})) << "workers=" << workers;
-    EXPECT_EQ(r.launched, 2u) << "workers=" << workers;
-    EXPECT_EQ(r.cancelled, 1u) << "workers=" << workers;
-  }
-}
-
 TEST(Portfolio, JobBudgetExpiresWithoutWinner) {
-  Portfolio p(2);
   std::vector<PortfolioJob> jobs;
   jobs.push_back({"budgeted", 0.05, [&](const CancelToken& token) {
                     for (int i = 0; i < 5000; ++i) {
@@ -121,7 +87,7 @@ TEST(Portfolio, JobBudgetExpiresWithoutWinner) {
                   }});
   const Stopwatch watch;
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
-  const RaceResult r = p.race(jobs);
+  const RaceResult r = race(jobs);
   EXPECT_FALSE(r.conclusive);
   EXPECT_LT(watch.seconds(), 2.0);
   const MetricsSnapshot d = MetricsRegistry::global().snapshot().delta(before);
@@ -129,7 +95,6 @@ TEST(Portfolio, JobBudgetExpiresWithoutWinner) {
 }
 
 TEST(Portfolio, CancelledParentTokenSkipsAllJobs) {
-  Portfolio p(2);
   CancelToken parent;
   parent.cancel();
   std::atomic<int> ran{0};
@@ -139,7 +104,7 @@ TEST(Portfolio, CancelledParentTokenSkipsAllJobs) {
                       ++ran;
                       return true;
                     }});
-  const RaceResult r = p.race(jobs, &parent);
+  const RaceResult r = race(jobs, &parent);
   EXPECT_FALSE(r.conclusive);
   EXPECT_EQ(ran.load(), 0);
   EXPECT_EQ(r.launched, 0u);
@@ -147,16 +112,15 @@ TEST(Portfolio, CancelledParentTokenSkipsAllJobs) {
 }
 
 TEST(Portfolio, StatsAccumulateAcrossRaces) {
-  Portfolio p(0);
   std::vector<PortfolioJob> jobs;
   jobs.push_back({"alpha", -1.0, [](const CancelToken&) { return true; }});
   jobs.push_back({"beta", -1.0, [](const CancelToken&) { return true; }});
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
-  p.race(jobs);
-  p.race(jobs);
+  race(jobs);
+  race(jobs);
   const MetricsSnapshot d = MetricsRegistry::global().snapshot().delta(before);
   EXPECT_EQ(d.value("portfolio.races"), 2.0);
-  EXPECT_EQ(d.value("portfolio.jobs_launched"), 2.0);  // alpha wins inline;
+  EXPECT_EQ(d.value("portfolio.jobs_launched"), 2.0);  // alpha wins;
   EXPECT_EQ(d.value("portfolio.jobs_cancelled"), 2.0);  // beta never starts
   EXPECT_EQ(d.value("portfolio.wins.alpha"), 2.0);
   EXPECT_EQ(d.value("portfolio.wins.beta"), 0.0);
@@ -164,29 +128,32 @@ TEST(Portfolio, StatsAccumulateAcrossRaces) {
 }
 
 // The ownership rule from DESIGN.md: every concurrent job owns its BddMgr
-// outright. Eight reachability jobs over one shared (immutable) netlist on
+// outright. Session workers run one property (one manager) per executor
+// thread, so eight reachability jobs over one shared (immutable) netlist on
 // four workers; under -DRFN_SANITIZE=thread this test is the lock-in that
 // per-worker managers plus read-only netlist sharing are race-free.
 TEST(Portfolio, PerWorkerBddMgrOwnership) {
   const Netlist m = make_counter_fail();
-  Portfolio p(4);
   std::vector<ReachStatus> status(8, ReachStatus::ResourceOut);
-  std::vector<PortfolioJob> jobs;
-  for (size_t i = 0; i < status.size(); ++i)
-    jobs.push_back({"bdd" + std::to_string(i), -1.0,
-                    [&m, &status, i](const CancelToken&) {
-                      BddMgr mgr;  // owned by this job alone
-                      Encoder enc(mgr, m);
-                      ImageComputer img(enc);
-                      const Bdd bad =
-                          mgr.exists(enc.signal_fn(m.output("bad")), enc.input_vars());
-                      status[i] =
-                          forward_reach(img, enc.initial_states(), bad).status;
-                      return false;  // inconclusive: every job runs fully
-                    }});
-  const RaceResult r = p.race(jobs);
-  EXPECT_FALSE(r.conclusive);
-  EXPECT_EQ(r.launched, jobs.size());
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t pending = status.size();
+  {
+    Executor exec(4);
+    for (size_t i = 0; i < status.size(); ++i)
+      exec.submit([&, i] {
+        BddMgr mgr;  // owned by this job alone
+        Encoder enc(mgr, m);
+        ImageComputer img(enc);
+        const Bdd bad =
+            mgr.exists(enc.signal_fn(m.output("bad")), enc.input_vars());
+        status[i] = forward_reach(img, enc.initial_states(), bad).status;
+        std::lock_guard<std::mutex> lk(mu);
+        if (--pending == 0) cv.notify_all();
+      });
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return pending == 0; });
+  }
   for (size_t i = 0; i < status.size(); ++i)
     EXPECT_EQ(status[i], ReachStatus::BadReachable) << "job " << i;
 }
@@ -243,106 +210,61 @@ TEST(Portfolio, RandomSimErrorTraceReplaysToBad) {
   EXPECT_TRUE(random_sim_error_trace(safe, safe.output("bad"), 64, 99).empty());
 }
 
-// Race real engines against each other: every engine is sound, so whichever
-// wins must report a verdict consistent with the design's ground truth.
+// Race real engines: every engine is sound, so the winner must report a
+// verdict consistent with the design's ground truth. Priority order makes
+// the formal engine the winner; without it, a falsifying probe wins on the
+// failing design and its trace replays to `bad`.
 TEST(Portfolio, EngineRaceVerdictsAgree) {
   for (const bool fails : {true, false}) {
     const Netlist m = fails ? make_counter_fail() : make_counter_safe();
     const GateId bad = m.output("bad");
-    for (const size_t workers : {size_t{0}, size_t{2}}) {
-      Portfolio p(workers);
-      BddMgr mgr;
-      Encoder enc(mgr, m);
-      ImageComputer img(enc);
-      const Bdd bad_set = mgr.exists(enc.signal_fn(bad), enc.input_vars());
-      ReachResult reach;
-      SeqAtpgResult atpg;
-      Trace sim_cex;
-      std::vector<PortfolioJob> jobs;
-      jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
-                        ReachOptions ro;
-                        ro.cancel = &token;
-                        reach = forward_reach(img, enc.initial_states(), bad_set, ro);
-                        return reach.status != ReachStatus::ResourceOut;
-                      }});
-      jobs.push_back({"seq-atpg", -1.0, [&](const CancelToken& token) {
-                        AtpgOptions ao;
-                        ao.cancel = &token;
-                        for (size_t k = 1; k <= 10; ++k) {
-                          if (token.cancelled()) return false;
-                          SeqAtpgResult r = reach_target(m, k, bad, true, {}, ao);
-                          if (r.status == AtpgStatus::Sat) {
-                            atpg = std::move(r);
-                            return true;
-                          }
+    BddMgr mgr;
+    Encoder enc(mgr, m);
+    ImageComputer img(enc);
+    const Bdd bad_set = mgr.exists(enc.signal_fn(bad), enc.input_vars());
+    ReachResult reach;
+    SeqAtpgResult atpg;
+    Trace sim_cex;
+    std::vector<PortfolioJob> jobs;
+    jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
+                      ReachOptions ro;
+                      ro.cancel = &token;
+                      reach = forward_reach(img, enc.initial_states(), bad_set, ro);
+                      return reach.status != ReachStatus::ResourceOut;
+                    }});
+    jobs.push_back({"seq-atpg", -1.0, [&](const CancelToken& token) {
+                      AtpgOptions ao;
+                      ao.cancel = &token;
+                      for (size_t k = 1; k <= 10; ++k) {
+                        if (token.cancelled()) return false;
+                        SeqAtpgResult r = reach_target(m, k, bad, true, {}, ao);
+                        if (r.status == AtpgStatus::Sat) {
+                          atpg = std::move(r);
+                          return true;
                         }
-                        return false;
-                      }});
-      jobs.push_back({"rand-sim", -1.0, [&](const CancelToken& token) {
-                        sim_cex = random_sim_error_trace(m, bad, 32, 7, &token);
-                        return !sim_cex.empty();
-                      }});
-      const RaceResult r = p.race(jobs);
-      ASSERT_TRUE(r.conclusive) << "fails=" << fails << " workers=" << workers;
-      if (r.winner == 0) {
-        EXPECT_EQ(reach.status, fails ? ReachStatus::BadReachable
-                                      : ReachStatus::Proved);
-      } else if (r.winner == 1) {
-        EXPECT_TRUE(fails);
-        EXPECT_EQ(simulate_trace(m, atpg.trace, bad), Tri::T);
-      } else {
-        EXPECT_TRUE(fails);
-        EXPECT_EQ(simulate_trace(m, sim_cex, bad), Tri::T);
-      }
-      // Only the formal engine can conclude on a safe design.
-      if (!fails) EXPECT_EQ(r.winner_name, "bdd-reach");
-      // Sequentially, priority order makes the formal engine the winner.
-      if (workers == 0) EXPECT_EQ(r.winner_name, "bdd-reach");
-    }
-  }
-}
+                      }
+                      return false;
+                    }});
+    jobs.push_back({"rand-sim", -1.0, [&](const CancelToken& token) {
+                      sim_cex = random_sim_error_trace(m, bad, 32, 7, &token);
+                      return !sim_cex.empty();
+                    }});
+    const RaceResult r = race(jobs);
+    ASSERT_TRUE(r.conclusive) << "fails=" << fails;
+    EXPECT_EQ(r.winner_name, "bdd-reach") << "fails=" << fails;
+    EXPECT_EQ(reach.status,
+              fails ? ReachStatus::BadReachable : ReachStatus::Proved);
+    EXPECT_EQ(r.launched, 1u);
+    EXPECT_EQ(r.cancelled, 2u);
 
-TEST(Portfolio, RfnPortfolioAgreesWithSequential) {
-  struct Case {
-    Netlist netlist;
-    GateId bad;
-    Verdict expect;
-  };
-  std::vector<Case> cases;
-  {
-    Netlist m = make_counter_fail();
-    const GateId bad = m.output("bad");
-    cases.push_back({std::move(m), bad, Verdict::Fails});
-  }
-  {
-    Netlist m = make_counter_safe();
-    const GateId bad = m.output("bad");
-    cases.push_back({std::move(m), bad, Verdict::Holds});
-  }
-  {
-    designs::FifoDesign fifo = designs::make_fifo({.addr_bits = 2, .data_bits = 2});
-    const GateId bad = fifo.bad_push_full;
-    cases.push_back({std::move(fifo.netlist), bad, Verdict::Holds});
-  }
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const Case& c = cases[ci];
-    std::vector<RfnResult> results;
-    for (const size_t workers : {size_t{0}, size_t{2}}) {
-      RfnOptions opt;
-      opt.portfolio_workers = workers;
-      opt.race_probe_time_s = 0.5;
-      const MetricsSnapshot before = MetricsRegistry::global().snapshot();
-      results.push_back(run_property(c.netlist, c.bad, opt));
-      const MetricsSnapshot d = MetricsRegistry::global().snapshot().delta(before);
-      EXPECT_GE(d.value("portfolio.races"), 1.0) << "case " << ci;
+    // The probes alone: only a failing design has a trace to find.
+    const std::vector<PortfolioJob> probes(jobs.begin() + 1, jobs.end());
+    const RaceResult p = race(probes);
+    EXPECT_EQ(p.conclusive, fails);
+    if (p.conclusive) {
+      EXPECT_EQ(p.winner_name, "seq-atpg");
+      EXPECT_EQ(simulate_trace(m, atpg.trace, bad), Tri::T);
     }
-    for (const RfnResult& r : results) {
-      EXPECT_EQ(r.verdict, c.expect) << "case " << ci << " note: " << r.note;
-      if (r.verdict == Verdict::Fails)
-        EXPECT_EQ(simulate_trace(c.netlist, r.error_trace, c.bad), Tri::T)
-            << "case " << ci;
-    }
-    EXPECT_EQ(results[0].verdict, results[1].verdict) << "case " << ci;
   }
 }
 

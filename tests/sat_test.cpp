@@ -279,7 +279,6 @@ TEST(SatHints, CoreHintsNeverChangeVerdicts) {
     const Netlist& m = designs[round];
     const GateId bad = m.output("bad");
     RfnOptions opt;
-    opt.portfolio_workers = 0;
     opt.race_probe_time_s = 0.25;
     opt.engines = {"bdd", "sat"};
     const RfnResult hinted = run_property(m, bad, opt);

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -305,7 +306,30 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
     v.set("session", std::move(sess));
     bad.push_back(v);
   }
-  const size_t retired_key = bad.size() - 1;
+  // Expected diagnostics by mutation index.
+  std::vector<std::pair<size_t, std::string>> named = {
+      {bad.size() - 1, "session.cluster-overlap"}};
+  {
+    // The engine-race worker count is retired too: races run in priority
+    // order on the run's own thread.
+    json::Value v = valid_request_doc();
+    json::Value opts = json::Value::object();
+    opts.set("workers", 2.0);
+    v.set("options", std::move(opts));
+    named.emplace_back(bad.size(), "unknown key 'options.workers'");
+    bad.push_back(v);
+  }
+  // Counts must be whole numbers a size_t holds exactly.
+  for (const double n : {1.5, 1e30, -1.0}) {
+    for (const char* block : {"session", "options"}) {
+      json::Value v = valid_request_doc();
+      json::Value knobs = json::Value::object();
+      knobs.set(std::string(block) == "session" ? "workers" : "traces", n);
+      v.set(block, std::move(knobs));
+      named.emplace_back(bad.size(), block);
+      bad.push_back(v);
+    }
+  }
   {
     // No design at all.
     json::Value v = json::Value::object();
@@ -321,9 +345,35 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
     EXPECT_FALSE(api::VerifyRequest::from_json(bad[i], &out, &error))
         << "mutation " << i << " was accepted: " << bad[i].dump();
     EXPECT_FALSE(error.empty()) << "mutation " << i;
-    if (i == retired_key) {
-      EXPECT_NE(error.find("session.cluster-overlap"), std::string::npos)
-          << error;
+  }
+  for (const auto& [i, needle] : named) {
+    api::VerifyRequest out;
+    std::string error;
+    api::VerifyRequest::from_json(bad[i], &out, &error);
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  }
+}
+
+// The session executor starts every worker thread up front, so validate()
+// caps session.workers at the hardware thread count. Checked on parsed
+// requests only: nothing here builds an executor.
+TEST(RequestCodec, ValidateCapsSessionWorkersAtHardwareThreads) {
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const size_t workers : {hw, hw + 1, size_t{1} << 40}) {
+    json::Value doc = valid_request_doc();
+    json::Value sess = json::Value::object();
+    sess.set("workers", static_cast<uint64_t>(workers));
+    doc.set("session", std::move(sess));
+    api::VerifyRequest req;
+    std::string error;
+    ASSERT_TRUE(api::VerifyRequest::from_json(doc, &req, &error)) << error;
+    const std::vector<std::string> errors = req.validate();
+    if (workers <= hw) {
+      EXPECT_TRUE(errors.empty()) << errors.front();
+    } else {
+      ASSERT_EQ(errors.size(), 1u) << workers;
+      EXPECT_NE(errors[0].find("session.workers"), std::string::npos)
+          << errors[0];
     }
   }
 }
@@ -777,6 +827,36 @@ TEST(ServeEndToEnd, CliRejectsInvalidPropsOverrides) {
   std::remove(props.c_str());
   std::remove(err.c_str());
 }
+
+// Count flags parse like --props counts: negative or non-numeric text exits
+// 2 naming the flag. Unchecked, --traces=-1 wrapped to 2^64-1 and hung the
+// run, so every case runs under a timeout (exit 124 means it hung).
+TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
+  const std::string err = ::testing::TempDir() + "/bad_counts.err";
+  const std::string hw_plus_one = std::to_string(
+      std::max(1u, std::thread::hardware_concurrency()) + 1);
+  const std::pair<std::string, std::string> cases[] = {
+      {"--traces=-1", "--traces"},
+      {"--traces=abc", "--traces"},
+      {"--pdr-max-frames=-1", "--pdr-max-frames"},
+      {"--pdr-max-frames=7x", "--pdr-max-frames"},
+      {"--session-workers=-1", "--session-workers"},
+      {"--session-workers=" + hw_plus_one, "session.workers"},
+      {"--workers=2", "--workers is gone"},
+  };
+  for (const auto& [flag, named] : cases) {
+    const std::string cmd = "timeout 60 " + std::string(RFN_CLI_PATH) +
+                            " verify builtin:fifo --bad bad_full_q " + flag +
+                            " > /dev/null 2> " + err;
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+    std::stringstream msg;
+    msg << std::ifstream(err).rdbuf();
+    EXPECT_NE(msg.str().find(named), std::string::npos) << msg.str();
+  }
+  std::remove(err.c_str());
+}
 #endif  // RFN_CLI_PATH
 
 TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
@@ -800,6 +880,19 @@ TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
     EXPECT_NE(msg.find("props[0]"), std::string::npos) << msg;
     EXPECT_NE(msg.find(c.named), std::string::npos) << msg;
   }
+  // One worker past the hardware threads: rejected before any executor
+  // starts its threads.
+  const json::Value resp = client.transact(json::parse(
+      std::string(R"({"type":"verify","version":"rfn-req-v1",)"
+                  R"("design":{"path":"builtin:fifo"},"session":{"workers":)") +
+      std::to_string(std::max(1u, std::thread::hardware_concurrency()) + 1) +
+      "}}"));
+  ASSERT_NE(resp.find("ok"), nullptr) << resp.dump();
+  EXPECT_FALSE(resp.find("ok")->as_bool());
+  EXPECT_EQ(resp.find("reject_reason")->as_string(), "bad-request");
+  EXPECT_NE(resp.find("error")->as_string().find("session.workers"),
+            std::string::npos)
+      << resp.dump();
   server.stop();
 }
 

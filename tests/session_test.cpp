@@ -42,16 +42,6 @@ TEST(RfnOptionsValidate, ReportsEveryProblemAtOnce) {
   EXPECT_TRUE(any_error_contains(errors, "budget_bdd_nodes"));
 }
 
-TEST(RfnOptionsValidate, ApproxOverlapMustLeaveProgress) {
-  RfnOptions opt;
-  opt.approx_block_size = 4;
-  opt.approx_overlap = 4;  // no forward progress per block
-  EXPECT_TRUE(any_error_contains(opt.validate(), "approx_overlap"));
-  // With the fallback disabled the pair is never used: not an error.
-  opt.approx_fallback = false;
-  EXPECT_TRUE(opt.validate().empty());
-}
-
 TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
   RfnOptions opt;
   opt.race_probe_time_s = -1.0;

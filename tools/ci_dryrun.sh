@@ -52,18 +52,21 @@ sanitizers=(thread)
 for san in "${sanitizers[@]}"; do
   note "sanitize ($san)"
   dir="build-ci-sanitize-${san//,/-}"
-  build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san"
+  # Same cells as ci.yml: ASan+UBSan also bounds-checks the containers.
+  cxxflags=$([[ $san == thread ]] && echo "" || echo "-D_GLIBCXX_ASSERTIONS")
+  build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san" \
+    -DCMAKE_CXX_FLAGS="$cxxflags"
   note "sanitize ($san): SAT engine suite + budgeted bdd+sat run"
   "./$dir/tests/sat_test"
   "./$dir/tools/rfn" verify builtin:processor --bad error_flag \
-    --engine bdd,sat --workers 3 --budget-ms 5000 --certify
+    --engine bdd,sat --budget-ms 5000 --certify
   note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
   "./$dir/tests/pdr_test"
   for spec in "fifo bad_full_q" "processor bad_mutex" \
               "iu iu0" "usb bad_se1"; do
     read -r design prop <<<"$spec"
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
-      --engine bdd,sat,pdr --workers 3 --budget-ms 10000 --certify
+      --engine bdd,sat,pdr --budget-ms 10000 --certify
   done
   note "sanitize ($san): certificates checked by rfn_check"
   check_certs() { # <builddir> <design> <property args...>
@@ -82,6 +85,7 @@ for san in "${sanitizers[@]}"; do
   if [[ $san == thread ]]; then
     note "sanitize (thread): concurrency suites"
     "./$dir/tests/portfolio_test"
+    "./$dir/tests/session_test"
     "./$dir/tests/netlist_fuzz_test"
     "./$dir/tests/trace_span_test"
     "./$dir/tests/prof_test"
@@ -104,7 +108,7 @@ for san in "${sanitizers[@]}"; do
     # Must degrade cleanly (exit exactly 1: inconclusive verdict, not a
     # TSan abort) with a budget-trip span.
     rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
       --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
     if [[ $rc != 1 ]]; then
       echo "ci_dryrun: budgeted run exited $rc (expected 1: resource-out)" >&2
@@ -117,14 +121,14 @@ for san in "${sanitizers[@]}"; do
     # with the tripped budget named in the trace. The watchdog's RSS poll
     # races the engines by design — TSan watches the trip hand-off.
     rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
       --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
     if [[ $rc != 1 ]]; then
       echo "ci_dryrun: memory-budgeted run exited $rc (expected 1)" >&2
       exit 1
     fi
     grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
-    "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
+    "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q \
       --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
     python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
   fi
@@ -141,7 +145,7 @@ python3 tools/trace_report.py --self-check
 # Traces are recorded before the gate, like the hosted job, so a failing
 # gate still leaves a profile behind (CI uploads it as an artifact).
 note "bench-gate: record run traces"
-./build-ci-bench/tools/rfn verify tests/data/demo.v --bad bad_q --workers 3 \
+./build-ci-bench/tools/rfn verify tests/data/demo.v --bad bad_q \
   --trace-spans build-ci-bench/run-spans.json \
   --trace-json build-ci-bench/run-trace.jsonl
 python3 tools/trace_report.py build-ci-bench/run-spans.json
@@ -156,8 +160,8 @@ python3 tools/trace_report.py --run build-ci-bench/run-trace.jsonl
 # independent rfn_check binary against a fresh design elaboration.
 note "bench-gate: batch verification of the shipped designs"
 # Each design also emits an rfn-prof-v1 artifact; trace_report.py --prof
-# re-validates it, including the CPU-consistency bound (no engine set can
-# burn more CPU than race-wall x workers allows).
+# re-validates it, including the CPU-consistency bound (the races run on
+# one thread, so engine CPU stays within race wall x slack).
 run_batch() { # <out> <design> <property args...>
   local out=$1 design=$2; shift 2
   ./build-ci-bench/tools/rfn verify "builtin:$design" "$@" \
@@ -200,12 +204,11 @@ if python3 tools/bench_gate.py --baseline build-ci-bench/bench-current.json \
 fi
 
 # --- prof gate: subsystem peak bytes vs BENCH_prof.json ---------------------
-# The profile is recorded sequentially (--workers 0): the arena capacities
-# are then run-to-run identical, so the gate's 25% tolerance only absorbs
+# The arena capacities of this profile are run-to-run identical, so the gate's 25% tolerance only absorbs
 # allocator doubling granularity, not noise.
 note "bench-gate: prof gate against BENCH_prof.json"
 ./build-ci-bench/tools/rfn verify builtin:processor --bad bad_mutex \
-  --bad error_flag --workers 0 --engine bdd,sat \
+  --bad error_flag --engine bdd,sat \
   --prof-json build-ci-bench/prof-current.json
 python3 tools/trace_report.py --prof build-ci-bench/prof-current.json
 python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \

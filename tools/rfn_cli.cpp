@@ -14,7 +14,6 @@
 // session, so fair-share budgets, the ReuseCache, and all engines apply
 // unchanged. Common options:
 //   --time-limit S     wall-clock budget (default 300)
-//   --workers N        engine-portfolio worker threads (default 0: sequential)
 //   --engine LIST      engines entering the races, comma-separated subset of
 //                      bdd,atpg,sim,sat,pdr (repeatable; default: all five).
 //                      Unknown names are rejected up front. Only bdd and pdr
@@ -159,12 +158,12 @@ bool write_text_file(const std::string& path, const std::string& body) {
 /// baseline, and writes it.
 bool write_prof_json_file(const std::string& path,
                           const MetricsSnapshot& baseline, double wall_s,
-                          double cpu_s, size_t workers) {
+                          double cpu_s) {
   prof::RssLog::global().sample();
   prof::RssLog::global().disable();
   const MetricsSnapshot now = MetricsRegistry::global().snapshot();
   const json::Value doc =
-      prof::build_prof_json(baseline, now, wall_s, cpu_s, workers);
+      prof::build_prof_json(baseline, now, wall_s, cpu_s);
   std::ofstream out(path);
   if (out) out << doc.dump(2) << "\n";
   if (!out) std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
@@ -204,8 +203,7 @@ struct ProfScope {
 
   /// Writes the span/prof artifacts; call once after the run's threads have
   /// joined (the span buffers are quiescent then). False on I/O errors.
-  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s,
-              size_t workers) {
+  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s) {
     if (trace_spans) {
       SpanTracer::global().disable();
       if (!span_path.empty()) {
@@ -221,8 +219,7 @@ struct ProfScope {
         return false;
     }
     if (!prof_json_path.empty() &&
-        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s,
-                              workers))
+        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s))
       return false;
     return true;
   }
@@ -254,9 +251,7 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
-  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds(),
-                   req.options.portfolio_workers))
-    return 2;
+  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds())) return 2;
 
   // --cert-dir: run_verify built and checked the witnesses (they are already
   // in the rfn-trace-v2 records); writing them to disk is CLI business.
@@ -348,8 +343,7 @@ int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
 
   ProfScope prof(opts);
   const RfnResult result = run_property(net, bad, rfn_opts);
-  if (!prof.finish(result.metrics_baseline, result.seconds, prof.cpu_seconds(),
-                   rfn_opts.portfolio_workers))
+  if (!prof.finish(result.metrics_baseline, result.seconds, prof.cpu_seconds()))
     return 2;
 
   const std::string trace_path = opts.get("trace-json", "");
@@ -377,13 +371,11 @@ int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
               result.iterations, result.final_abstract_regs, net.num_regs(),
               result.seconds);
   if (!result.note.empty()) std::printf("note: %s\n", result.note.c_str());
-  // Engine effort and race outcomes come from the metrics registry, so they
-  // are reported for sequential (--workers 0) runs too — the races still
-  // happen, just inline in priority order.
+  // Engine effort and race outcomes come from the metrics registry.
   const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
   std::printf("engines:\n");
   std::fputs(format_engine_stats(metrics).c_str(), stdout);
-  std::printf("portfolio (%zu workers):\n", rfn_opts.portfolio_workers);
+  std::printf("portfolio:\n");
   std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
   if (opts.get_bool("metrics", false))
     std::printf("metrics: %s\n",
@@ -434,14 +426,39 @@ int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
              : 1;
 }
 
+/// Count flags (--traces, --pdr-max-frames, --session-workers) go through
+/// api::parse_count, the --props parser: negative or non-numeric text is a
+/// usage error naming the flag, never a wrap to 2^64-1. `*out` keeps its
+/// default when the flag is absent.
+bool get_count(const Options& opts, const char* flag, size_t* out) {
+  if (!opts.has(flag)) return true;
+  const std::string text = opts.get(flag, "");
+  try {
+    *out = api::parse_count(text);
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "rfn: invalid value '%s' for --%s\n", text.c_str(),
+                 flag);
+    return false;
+  }
+}
+
 int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
   // Flags → api::VerifyRequest: the same struct a server request parses to.
   api::VerifyRequest req;
+  if (opts.has("workers")) {
+    std::fprintf(stderr,
+                 "rfn: --workers is gone: engine races run in priority order "
+                 "on the run's thread (--session-workers runs properties "
+                 "concurrently)\n");
+    return 2;
+  }
   req.options.time_limit_s = opts.get_double("time-limit", 300.0);
-  req.options.traces_per_iteration =
-      static_cast<size_t>(opts.get_int("traces", 1));
+  if (!get_count(opts, "traces", &req.options.traces_per_iteration) ||
+      !get_count(opts, "pdr-max-frames", &req.options.race_pdr_max_frames) ||
+      !get_count(opts, "session-workers", &req.session_workers))
+    return 2;
   req.options.approx_fallback = !opts.get_bool("no-approx", false);
-  req.options.portfolio_workers = static_cast<size_t>(opts.get_int("workers", 0));
   req.options.budget_ms = opts.get_double("budget-ms", -1.0);
   req.options.budget_bdd_nodes = opts.get_int("budget-bdd-nodes", 0);
   req.options.budget_mem_mb = opts.get_int("budget-mem-mb", 0);
@@ -449,9 +466,6 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
   // /proc/self/statm each poll even when no budget is set.
   req.options.sample_rss = !opts.get("prof-json", "").empty();
   req.options.proof_shrink = opts.get_bool("proof-shrink", false);
-  req.options.race_pdr_max_frames = static_cast<size_t>(
-      opts.get_int("pdr-max-frames",
-                   static_cast<int64_t>(req.options.race_pdr_max_frames)));
   req.options.race_pdr_time_s =
       opts.get_double("pdr-time", req.options.race_pdr_time_s);
   for (const std::string& list : opts.get_all("engine")) {
@@ -460,8 +474,6 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
     while (std::getline(es, e, ','))
       if (!e.empty()) req.options.engines.push_back(e);
   }
-  req.session_workers =
-      static_cast<size_t>(opts.get_int("session-workers", 0));
   req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);
   req.reuse = !opts.get_bool("no-reuse", false);
   req.batch = opts.get_bool("batch", false);

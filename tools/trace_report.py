@@ -7,7 +7,7 @@ per-engine / per-iteration wall-time breakdown:
     tools/trace_report.py spans.json [--top N]
 
 Validates the file first (schema "rfn-spans-v1": version tag, per-thread
-monotonic timestamps, balanced begin/end pairs, flow pairing) and exits
+monotonic timestamps, balanced begin/end pairs) and exits
 nonzero with a diagnostic on a malformed trace, so it doubles as the format
 checker in tests and CI. `--self-check` runs the validators against
 built-in good and bad synthetic traces and needs no input file.
@@ -56,8 +56,8 @@ the CI serve job greps to prove cross-request state reuse happened.
 With `--prof` the input is an rfn-prof-v1 resource profile from
 `rfn verify ... --prof-json FILE`. The validator checks the format tag,
 that every per-engine CPU figure is nonnegative and their sum is
-consistent with the portfolio's race wall time for the recorded worker
-count (CPU cannot exceed wall x workers, modulo slack for clock
+consistent with the portfolio's race wall time (races run on one thread, so
+their CPU cannot exceed their wall time, modulo slack for clock
 granularity), that each subsystem's peak bytes dominate its live bytes,
 and that the RSS timeline has monotone timestamps with its peak no
 smaller than any sample, then prints a per-engine/per-subsystem digest.
@@ -110,9 +110,9 @@ REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
 WARM_CACHE_KEYS = ("enabled", "hit", "hits", "misses", "evictions",
                    "entries", "bytes", "order_warm", "sat_pool_entries")
 PROF_SCHEMA = "rfn-prof-v1"
-# Sum of per-engine thread-CPU can exceed race wall time only through
-# parallelism: bound it by wall x workers, with headroom for clock
-# granularity and the slice of engine work that runs outside races.
+# Races run on their run's own thread, so per-engine thread-CPU is bounded
+# by race wall time, with headroom for clock granularity and the slice of
+# engine work that runs outside races.
 PROF_CPU_SLACK = 1.25
 PROF_CPU_SLACK_MS = 50.0
 
@@ -139,7 +139,6 @@ def validate(doc):
 
     last_ts = {}
     depth = collections.defaultdict(int)
-    flows = collections.defaultdict(dict)
     for i, e in enumerate(events):
         ph = e.get("ph")
         if ph is None:
@@ -161,19 +160,11 @@ def validate(doc):
                 fail(f"event {i} ({e.get('name')!r}): end without begin on "
                      f"tid {tid}")
             depth[tid] -= 1
-        elif ph in ("s", "f"):
-            fid = e.get("id")
-            if fid is None:
-                fail(f"event {i}: flow event without id")
-            flows[fid][ph] = tid
         elif ph != "i":
             fail(f"event {i}: unknown phase {ph!r}")
     for tid, d in depth.items():
         if d != 0:
             fail(f"tid {tid} has {d} unclosed span(s)")
-    for fid, ends in flows.items():
-        if set(ends) != {"s", "f"}:
-            fail(f"flow {fid} is unpaired (has {sorted(ends)})")
     return events
 
 
@@ -435,10 +426,6 @@ def validate_prof(doc):
     for key in ("wall_ms", "total_cpu_ms"):
         if not _nonneg_number(doc.get(key)):
             fail(f"{key!r} missing or not a nonnegative number")
-    workers = doc.get("workers")
-    if not isinstance(workers, int) or isinstance(workers, bool) or \
-            workers < 0:
-        fail("'workers' missing or not a nonnegative integer")
 
     engines = doc.get("engines")
     if not isinstance(engines, list):
@@ -462,16 +449,14 @@ def validate_prof(doc):
     for key in ("race_wall_ms", "race_cpu_ms"):
         if not _nonneg_number(portfolio.get(key)):
             fail(f"portfolio.{key} missing or negative")
-    # CPU-vs-wall sanity: N threads can burn at most N seconds of CPU per
+    # CPU-vs-wall sanity: one thread burns at most one second of CPU per
     # wall second. Slack covers clock granularity and engine work that runs
     # outside the races (e.g. setup inside the job wrapper).
-    bound = portfolio["race_wall_ms"] * max(1, workers) * PROF_CPU_SLACK \
-        + PROF_CPU_SLACK_MS
+    bound = portfolio["race_wall_ms"] * PROF_CPU_SLACK + PROF_CPU_SLACK_MS
     if engine_cpu_ms > bound:
         fail(f"engine cpu_ms sum {engine_cpu_ms:.3f} exceeds "
-             f"race_wall_ms x workers bound {bound:.3f} "
-             f"(wall {portfolio['race_wall_ms']:.3f} ms x {max(1, workers)} "
-             f"workers)")
+             f"race_wall_ms x slack bound {bound:.3f} "
+             f"(wall {portfolio['race_wall_ms']:.3f} ms)")
 
     subsystems = doc.get("subsystems")
     if not isinstance(subsystems, dict):
@@ -652,8 +637,8 @@ def report_prof(path):
         return 1
     validate_prof(doc)
     print("== resource profile ==")
-    print(f"wall_ms={doc['wall_ms']:.3f} total_cpu_ms={doc['total_cpu_ms']:.3f} "
-          f"workers={doc['workers']}")
+    print(f"wall_ms={doc['wall_ms']:.3f} "
+          f"total_cpu_ms={doc['total_cpu_ms']:.3f}")
     portfolio = doc["portfolio"]
     print(f"races: wall_ms={portfolio['race_wall_ms']:.3f} "
           f"cpu_ms={portfolio['race_cpu_ms']:.3f}")
@@ -862,15 +847,11 @@ def synthetic_trace():
          "ts": 0.0},
         {"name": "rfn.iteration", "ph": "B", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 1.0},
-        {"name": "job", "ph": "s", "cat": "flow", "id": 1, "pid": 1,
-         "tid": 1, "ts": 2.0},
-        {"name": "job", "ph": "B", "cat": "rfn", "pid": 1, "tid": 2,
+        {"name": "job", "ph": "B", "cat": "rfn", "pid": 1, "tid": 1,
          "ts": 3.0},
-        {"name": "job", "ph": "f", "cat": "flow", "id": 1, "bp": "e",
-         "pid": 1, "tid": 2, "ts": 3.5},
         {"name": "budget-trip", "ph": "i", "cat": "rfn", "s": "g", "pid": 1,
          "tid": 3, "ts": 4.0, "args": {"reason": "wall-budget"}},
-        {"name": "job", "ph": "E", "cat": "rfn", "pid": 1, "tid": 2,
+        {"name": "job", "ph": "E", "cat": "rfn", "pid": 1, "tid": 1,
          "ts": 5.0, "args": {"outcome": "won"}},
         {"name": "rfn.iteration", "ph": "E", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 6.0, "args": {"iter": 0}},
@@ -1002,13 +983,12 @@ def synthetic_prof():
     return {
         "format": PROF_SCHEMA,
         "wall_ms": 120.0,
-        "total_cpu_ms": 180.0,
-        "workers": 2,
+        "total_cpu_ms": 115.0,
         "engines": [
-            {"name": "bdd-reach", "cpu_ms": 80.0},
-            {"name": "sat-bmc", "cpu_ms": 60.0},
+            {"name": "bdd-reach", "cpu_ms": 50.0},
+            {"name": "sat-bmc", "cpu_ms": 40.0},
         ],
-        "portfolio": {"race_wall_ms": 100.0, "race_cpu_ms": 140.0},
+        "portfolio": {"race_wall_ms": 100.0, "race_cpu_ms": 90.0},
         "subsystems": {
             "bdd": {"live_bytes": 2 << 20, "peak_bytes": 2 << 20},
             "sat": {"live_bytes": 1 << 20, "peak_bytes": 3 << 20},
@@ -1046,8 +1026,6 @@ def self_check():
                 "unbalanced begin/end"),
         corrupt(lambda d: d["traceEvents"][2].update(ts=100.0),
                 "non-monotonic timestamps"),
-        corrupt(lambda d: d["traceEvents"].__delitem__(5),  # drop flow-end
-                "unpaired flow"),
     ) if f]
 
     good_batch = synthetic_batch_trace()
@@ -1219,7 +1197,7 @@ def self_check():
         corrupt_prof(lambda d: d["engines"].append(dict(d["engines"][0])),
                      "duplicate engine record"),
         corrupt_prof(lambda d: d["engines"][0].update(cpu_ms=1e6),
-                     "engine CPU sum exceeding wall x workers"),
+                     "engine CPU sum exceeding race wall x slack"),
         corrupt_prof(lambda d: d["subsystems"]["sat"].update(peak_bytes=1),
                      "subsystem peak below live"),
         corrupt_prof(lambda d: d["subsystems"].pop("bdd"),
@@ -1230,8 +1208,6 @@ def self_check():
                      "rss sample above declared peak"),
         corrupt_prof(lambda d: d["rss"].pop("samples"),
                      "missing rss samples"),
-        corrupt_prof(lambda d: d.update(workers="two"),
-                     "non-integer workers"),
     ) if f]
 
     good_serve = synthetic_serve_log()
