@@ -11,13 +11,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string_view>
 
 #include "atpg/comb_atpg.hpp"
-#include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
 #include "core/portfolio.hpp"
 #include "core/session.hpp"
@@ -202,8 +202,7 @@ void export_portfolio_counters(benchmark::State& state) {
   // change. The known job names map to their historical short names; an
   // unknown job falls back to its raw name with '-' normalized to '_'.
   static const std::map<std::string, std::string> kShortNames = {
-      {"bdd-reach", "bdd"}, {"seq-atpg", "atpg"}, {"rand-sim", "sim"},
-      {"sat-bmc", "sat"},   {"pdr", "pdr"},
+      {"bdd-reach", "bdd"}, {"sat-bmc", "sat"}, {"pdr", "pdr"},
   };
   for (const auto& [k, v] : kShortNames)
     state.counters["wins_" + v] = s.value("portfolio.wins." + k);
@@ -227,7 +226,7 @@ void export_portfolio_counters(benchmark::State& state) {
   state.counters["sat_peak_heap_bytes"] = s.value("sat.heap_bytes.max");
 }
 
-// Full RFN runs on the FIFO psh_full property with the default five-engine
+// Full RFN runs on the FIFO psh_full property with the default engine
 // races. The /0 suffix of the portfolio benches (Arg(0)) is part of their
 // names in BENCH_portfolio.json; the argument itself is unused.
 void BM_RfnPortfolioFifo(benchmark::State& state) {
@@ -292,8 +291,8 @@ void BM_SatBmcFifo(benchmark::State& state) {
 BENCHMARK(BM_SatBmcFifo)->Unit(benchmark::kMillisecond);
 
 // Full RFN runs with the race lineup pinned to bdd + sat: the SAT engine
-// carries the whole falsification side (abstract probes and concretization)
-// that seq-atpg / rand-sim / guided-atpg handle in the default portfolio.
+// carries the whole falsification side (the abstract probe and
+// concretization), with no guided-atpg or pdr behind it.
 void BM_PortfolioWithSatFifo(benchmark::State& state) {
   const rfn::designs::FifoDesign fifo =
       rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
@@ -313,12 +312,15 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
 BENCHMARK(BM_PortfolioWithSatFifo)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // The Step-2 race in isolation on the USB packet-engine abstraction:
-// bounded BDD reachability vs iterative-deepening ATPG vs random simulation
-// chasing a coverage register, in that priority order.
+// bounded BDD reachability, then the SAT BMC probe on the original design
+// with the same registers as state, chasing a coverage register.
 void BM_PortfolioRaceUsb(benchmark::State& state) {
   const rfn::designs::UsbDesign usb = rfn::designs::make_usb({});
   const Subcircuit sub = extract_abstract_model(usb.netlist, usb.usb2, usb.usb2);
   const GateId target = sub.to_new(usb.usb2.front());
+  std::vector<GateId> scope = usb.usb2;
+  std::sort(scope.begin(), scope.end());
+  SatBmc bmc(usb.netlist);
   MetricsRegistry::global().reset();
   for (auto _ : state) {
     BddMgr mgr;
@@ -335,22 +337,9 @@ void BM_PortfolioRaceUsb(benchmark::State& state) {
                           forward_reach(img, enc.initial_states(), bad_set, ro);
                       return r.status != ReachStatus::ResourceOut;
                     }});
-    jobs.push_back({"seq-atpg", 1.0, [&](const CancelToken& token) {
-                      AtpgOptions ao;
-                      ao.max_backtracks = 1u << 14;
-                      ao.cancel = &token;
-                      for (size_t k = 1; k <= 16; ++k) {
-                        if (token.cancelled()) return false;
-                        if (reach_target(sub.net, k, target, true, {}, ao).status ==
-                            AtpgStatus::Sat)
-                          return true;
-                      }
-                      return false;
-                    }});
-    jobs.push_back({"rand-sim", 1.0, [&](const CancelToken& token) {
-                      return !random_sim_error_trace(sub.net, target, 256, 17,
-                                                     &token)
-                                  .empty();
+    jobs.push_back({"sat-bmc", 1.0, [&](const CancelToken& token) {
+                      return bmc.check(usb.usb2.front(), 16, scope, &token)
+                                 .status == AtpgStatus::Sat;
                     }});
     const RaceResult r = race(jobs);
     benchmark::DoNotOptimize(r.conclusive);

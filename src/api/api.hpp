@@ -94,7 +94,9 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///
 /// Every field except "type"/"version"/"design" is optional and defaults as
 /// the CLI always has. An empty "props" falls back to the design's AIGER
-/// property list, then to the conventional "bad" signal.
+/// property list, then to the conventional "bad" signal. "engines" names a
+/// subset of bdd, atpg, sat, pdr (empty = all) that includes a Step-2
+/// engine (bdd, sat or pdr); validate() rejects any other list.
 struct VerifyRequest {
   /// Client-chosen id, echoed in every record and the response.
   std::string id;

@@ -21,9 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "netlist/netlist.hpp"
 #include "util/cancel.hpp"
-#include "util/rng.hpp"
 
 namespace rfn {
 
@@ -41,8 +39,7 @@ struct PortfolioJob {
 struct RaceResult {
   /// True when some job reported a conclusive verdict.
   bool conclusive = false;
-  /// Index of the winning job in the vector passed to race().
-  size_t winner = static_cast<size_t>(-1);
+  /// Name of the winning job (empty when none was conclusive).
   std::string winner_name;
   double seconds = 0.0;
   /// Thread-CPU seconds summed over every launched job (winner and
@@ -59,16 +56,5 @@ struct RaceResult {
 /// too. Records the portfolio.* counters and engine.cpu.* timers.
 RaceResult race(const std::vector<PortfolioJob>& jobs,
                 const CancelToken* parent = nullptr);
-
-// --- Engine adapters ---
-
-/// Random-simulation engine: drives `n` with 64 random patterns per cycle
-/// from the initial states and watches `bad`. When some lane raises `bad`
-/// within `max_cycles`, deterministically re-simulates that lane and returns
-/// its full binary trace (every register and input assigned at every cycle,
-/// `bad` raised at the last); otherwise returns an empty trace. Polls
-/// `cancel` once per simulated cycle.
-Trace random_sim_error_trace(const Netlist& n, GateId bad, size_t max_cycles,
-                             uint64_t seed, const CancelToken* cancel = nullptr);
 
 }  // namespace rfn

@@ -13,7 +13,7 @@ std::vector<std::string> RfnOptions::validate() const {
   std::vector<std::string> errors;
   // Single source of truth for the portfolio's engine names; the rejection
   // message spells out the whole valid set so a typo is self-correcting.
-  static const char* const kEngines[] = {"bdd", "atpg", "sim", "sat", "pdr"};
+  static const char* const kEngines[] = {"bdd", "atpg", "sat", "pdr"};
   static const std::string kEngineList = [] {
     std::string list;
     for (const char* name : kEngines) {
@@ -29,6 +29,11 @@ std::vector<std::string> RfnOptions::validate() const {
       errors.push_back("unknown engine \"" + e + "\" (valid engines: " +
                        kEngineList + ")");
   }
+  // Step 2 needs an engine that can settle the abstract obligation; with
+  // only "atpg" every run would end Unknown.
+  if (!engines.empty() && !engine_enabled("bdd") && !engine_enabled("sat") &&
+      !engine_enabled("pdr"))
+    errors.push_back("engines must include a Step-2 engine (bdd, sat or pdr)");
   if (race_pdr_max_frames == 0)
     errors.push_back("race_pdr_max_frames must be >= 1");
   if (race_pdr_time_s < 0.0)

@@ -50,23 +50,25 @@ struct RfnOptions {
   /// paper's second future-work direction), falling back to consensus
   /// guidance when each individual trace is spurious.
   size_t traces_per_iteration = 1;
-  /// Wall budget (seconds) for each probe engine per race; the primary
-  /// engines (BDD fixpoint, guided ATPG) keep their own limits.
+  /// Wall budget (seconds) for the Step-2 SAT BMC probe per race; the
+  /// primary engines (BDD fixpoint, guided ATPG) keep their own limits, and
+  /// PDR has race_pdr_time_s.
   double race_probe_time_s = 2.0;
   /// Engines entering the Step-2 / Step-3 races. Empty = all of
-  /// {"bdd", "atpg", "sim", "sat", "pdr"}; a non-empty list must be a
-  /// subset of those names (validate() rejects anything else). Only "bdd"
-  /// and "pdr" can prove Holds, so a list with neither restricts the loop
-  /// to falsification: a run that finds no error trace ends Unknown.
+  /// {"bdd", "atpg", "sat", "pdr"}; a non-empty list must be a subset of
+  /// those names that includes a Step-2 engine ("bdd", "sat" or "pdr"):
+  /// validate() rejects anything else. Only "bdd" and "pdr" can prove
+  /// Holds, so a list with neither restricts the loop to falsification: a
+  /// run that finds no error trace ends Unknown.
   std::vector<std::string> engines;
   /// Frame bound for the IC3/PDR engine in both races. PDR is complete —
   /// given enough frames it always converges — so this is purely a resource
   /// valve against designs whose inductive proofs are deep.
   size_t race_pdr_max_frames = 128;
   /// Wall budget (seconds) per race for the PDR engine (0 = unlimited).
-  /// Unlike the probe engines, PDR can conclude Holds, but an unlimited PDR
-  /// job in an otherwise-winnerless race would stall the loop, so it gets
-  /// its own limit rather than race_probe_time_s.
+  /// Unlike the SAT probe, PDR can conclude Holds, but an unlimited PDR job
+  /// in an otherwise-winnerless race would stall the loop, so it gets its
+  /// own limit rather than race_probe_time_s.
   double race_pdr_time_s = 10.0;
   /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
   /// Step-3 bounded-UNSAT concrete check, drop included registers that the
@@ -79,8 +81,7 @@ struct RfnOptions {
   /// are never dropped, which guarantees loop progress.
   bool proof_shrink = false;
 
-  /// True when `name` ("bdd", "atpg", "sim", "sat", "pdr") participates in
-  /// races.
+  /// True when `name` ("bdd", "atpg", "sat", "pdr") participates in races.
   bool engine_enabled(const char* name) const;
   /// External cancellation of the whole run: polled at iteration boundaries
   /// and chained into every engine race.

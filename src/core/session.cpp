@@ -7,7 +7,6 @@
 #include <optional>
 #include <unordered_set>
 
-#include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
 #include "core/concretize.hpp"
 #include "core/portfolio.hpp"
@@ -115,13 +114,8 @@ namespace {
 // Fixed engine settings: one value serves every caller, so they are not
 // options. Dynamic variable reordering is always on in Step 2, and each
 // iteration's final variable order seeds the next (paper Section 2.2).
-// Random-simulation cycles per race (64 random patterns per cycle).
-constexpr size_t kRaceSimCycles = 512;
-// Iterative-deepening bound and per-depth backtrack budget of the
-// sequential-ATPG probe, and the SAT BMC probe's depth bound. (The Step-3
-// SAT check is bounded by the abstract trace length instead.)
-constexpr size_t kRaceAtpgMaxDepth = 48;
-constexpr uint64_t kRaceAtpgBacktracks = 1u << 14;
+// The Step-2 SAT BMC probe's depth bound. (The Step-3 SAT check is bounded
+// by the abstract trace length instead.)
 constexpr size_t kRaceSatMaxDepth = 48;
 // Block sizing of the overlapping-partition approximate traversal (the
 // approx_fallback engine).
@@ -135,6 +129,195 @@ std::string join_errors(const std::vector<std::string>& errors) {
     s += e;
   }
   return s;
+}
+
+// What an engine race concluded about its obligation. Each race job writes
+// its own outcome here, so the step that ran the race reads one answer and
+// never asks which engine produced it.
+struct RaceAnswer {
+  enum class Kind {
+    None,      // no job was conclusive
+    Holds,     // the obligation is proved
+    Trace,     // error trace(s) found
+    Spurious,  // Step 3: the abstract trace has no concrete counterpart
+  };
+  Kind kind = Kind::None;
+  /// Holds: PDR's inductive frame when PDR proved it (absent for a BDD
+  /// fixpoint).
+  PdrInvariantWitness invariant;
+  /// Trace: error traces in original-design ids.
+  std::vector<Trace> traces;
+  /// Spurious: the registers of SAT BMC's bounded-UNSAT assumption core,
+  /// when SAT BMC refuted the trace (unset when guided ATPG did).
+  std::optional<std::vector<GateId>> core;
+};
+
+// The state Steps 2 and 3 of one iteration share: the design, this
+// iteration's abstract model and its BDD encoding, the engines' budgets,
+// and the per-iteration record the race jobs write their effort into.
+struct IterationContext {
+  const Netlist& m;
+  GateId bad;
+  const RfnOptions& opt;
+  const Subcircuit& sub;
+  const std::vector<GateId>& included;  // sorted
+  const CancelToken* cancel;
+  RfnIteration& it;
+  // The abstract model's BDD side; null when "bdd" is disabled.
+  Encoder* enc;
+  ImageComputer* img;
+  const Bdd& bad_set;
+  ReachOptions reach_opt;
+  SatBmc* sat_bmc;  // null when "sat" is disabled
+  double probe_budget;
+  double pdr_budget;
+};
+
+// The SAT BMC job of either race: a check of `bad` up to `depth` frames
+// with `scope` enabled, every other register left a free pseudo-input (the
+// enable-assumption formulation of the extracted subcircuit's semantics).
+// Sat is a real trace of that obligation, already in original-design ids.
+// A bounded Unsat proves nothing unbounded; it settles only Step 3's
+// check at the abstract trace's length (`refutes`), naming its core.
+PortfolioJob sat_job(IterationContext& cx, size_t depth,
+                     const std::vector<GateId>& scope, double budget,
+                     bool refutes, RaceAnswer& ans) {
+  return {"sat-bmc", budget,
+          [&cx, depth, &scope, refutes, &ans](const CancelToken& token) {
+            SatBmcResult r = cx.sat_bmc->check(cx.bad, depth, scope, &token);
+            cx.it.sat_depth = std::max(cx.it.sat_depth, r.depth);
+            if (r.status == AtpgStatus::Sat) {
+              ans.kind = RaceAnswer::Kind::Trace;
+              ans.traces.push_back(std::move(r.trace));
+            } else if (refutes && r.status == AtpgStatus::Unsat) {
+              ans.kind = RaceAnswer::Kind::Spurious;
+              ans.core = std::move(r.core_registers);
+            }
+            return ans.kind != RaceAnswer::Kind::None;
+          }};
+}
+
+// The IC3/PDR job of either race: the engine runs on the original design
+// with only `scope` as state (the pseudo-input semantics the extracted
+// subcircuit gives every other register), so Holds is an UNBOUNDED proof of
+// that obligation and Cex a real trace of it, already in original-design
+// ids.
+PortfolioJob pdr_job(IterationContext& cx, const std::vector<GateId>& scope,
+                     RaceAnswer& ans) {
+  return {"pdr", cx.pdr_budget, [&cx, &scope, &ans](const CancelToken& token) {
+            Pdr engine(cx.m, cx.bad, scope);
+            PdrOptions po;
+            po.max_frames = cx.opt.race_pdr_max_frames;
+            PdrResult r = engine.run(po, &token);
+            cx.it.pdr_obligations += r.stats.obligations;
+            cx.it.pdr_clauses += r.stats.clauses;
+            cx.it.pdr_frames = std::max(cx.it.pdr_frames, r.stats.frames);
+            if (r.status == PdrStatus::Holds) {
+              ans.kind = RaceAnswer::Kind::Holds;
+              ans.invariant = {true, std::move(r.scope), std::move(r.clauses)};
+            } else if (r.status == PdrStatus::Cex) {
+              ans.kind = RaceAnswer::Kind::Trace;
+              ans.traces.push_back(std::move(r.trace));
+            }
+            return ans.kind != RaceAnswer::Kind::None;
+          }};
+}
+
+// Step 2: prove the abstract model or find abstract error traces, racing
+// bdd-reach -> sat-bmc -> pdr. BDD reachability and PDR can prove; SAT BMC
+// can only find a trace, but a trace it finds is exact, so it still drives
+// Steps 3-4 after an inconclusive fixpoint. A fixpoint that reaches the bad
+// states leaves its traces in the onion rings, where the BDD-ATPG hybrid
+// engine extracts them: an answer of Trace with no trace means the hybrid
+// engine exhausted its candidates.
+RaceAnswer abstract_step(IterationContext& cx, SavedOrder& saved_order) {
+  RaceAnswer ans;
+  ReachResult reach;
+  std::vector<PortfolioJob> jobs;
+  if (cx.enc != nullptr) {
+    jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
+                      ReachOptions ro = cx.reach_opt;
+                      ro.cancel = &token;
+                      reach = forward_reach(*cx.img, cx.enc->initial_states(),
+                                            cx.bad_set, ro);
+                      if (reach.status == ReachStatus::Proved)
+                        ans.kind = RaceAnswer::Kind::Holds;
+                      else if (reach.status == ReachStatus::BadReachable)
+                        ans.kind = RaceAnswer::Kind::Trace;
+                      return ans.kind != RaceAnswer::Kind::None;
+                    }});
+  }
+  if (cx.sat_bmc != nullptr)
+    jobs.push_back(sat_job(cx, kRaceSatMaxDepth, cx.included, cx.probe_budget,
+                           false, ans));
+  if (cx.opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, cx.included, ans));
+  const RaceResult res = race(jobs, cx.cancel);
+  cx.it.abstract_engine = res.winner_name;
+  cx.it.abstract_race_seconds = res.seconds;
+  cx.it.abstract_race_cpu_seconds = res.cpu_seconds;
+  cx.it.reach_steps = reach.steps;
+  if (ans.kind == RaceAnswer::Kind::None) {
+    cx.it.reach_status =
+        cx.enc != nullptr ? reach.status : ReachStatus::ResourceOut;
+    return ans;
+  }
+  cx.it.reach_status = ans.kind == RaceAnswer::Kind::Holds
+                           ? ReachStatus::Proved
+                           : ReachStatus::BadReachable;
+  if (ans.kind == RaceAnswer::Kind::Trace && ans.traces.empty()) {
+    HybridTraceOptions hybrid_opt = cx.opt.hybrid;
+    if (hybrid_opt.cancel == nullptr) hybrid_opt.cancel = cx.cancel;
+    for (const Trace& t : hybrid_error_traces(
+             *cx.enc, cx.sub.net, reach, cx.bad_set,
+             cx.opt.traces_per_iteration, hybrid_opt, &cx.it.hybrid))
+      ans.traces.push_back(cx.sub.trace_to_old(t));
+  }
+  if (cx.enc != nullptr) saved_order = save_order(cx.enc->mgr(), *cx.enc, cx.sub);
+  return ans;
+}
+
+// Step 3: concretize the abstract error traces on the original design,
+// racing guided-atpg -> sat-bmc -> pdr. Guided sequential ATPG is
+// conclusive both ways (Sat = real trace, Unsat = spurious). SAT BMC with
+// every register enabled is too, at the abstract trace's length: Sat is a
+// real error trace (possibly shorter), Unsat proves no trace that short
+// exists, and its assumption core names the registers the refutation
+// needed (the refinement hints). With every register as state, PDR's Cex is
+// a real error trace and its Holds a proof on the FULL design, which ends
+// the whole loop, not just this trace.
+RaceAnswer concrete_step(IterationContext& cx, const std::vector<Trace>& traces,
+                         const std::vector<GateId>& all_regs) {
+  RaceAnswer ans;
+  std::vector<PortfolioJob> jobs;
+  if (cx.opt.engine_enabled("atpg")) {
+    jobs.push_back({"guided-atpg", -1.0, [&](const CancelToken& token) {
+                      AtpgOptions ao = cx.opt.concretize_atpg;
+                      ao.cancel = &token;
+                      ConcretizeResult conc =
+                          concretize_with_traces(cx.m, traces, cx.bad, ao);
+                      if (conc.status == AtpgStatus::Sat) {
+                        ans.kind = RaceAnswer::Kind::Trace;
+                        ans.traces.push_back(std::move(conc.trace));
+                      } else if (conc.status == AtpgStatus::Unsat) {
+                        ans.kind = RaceAnswer::Kind::Spurious;
+                      }
+                      return ans.kind != RaceAnswer::Kind::None;
+                    }});
+  }
+  if (cx.sat_bmc != nullptr)
+    jobs.push_back(
+        sat_job(cx, traces.front().cycles(), all_regs, -1.0, true, ans));
+  if (cx.opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, all_regs, ans));
+  const RaceResult res = race(jobs, cx.cancel);
+  cx.it.concretize_engine = res.winner_name;
+  cx.it.concretize_race_seconds = res.seconds;
+  cx.it.concretize_race_cpu_seconds = res.cpu_seconds;
+  cx.it.concretize_status = ans.kind == RaceAnswer::Kind::Trace ? AtpgStatus::Sat
+                            : ans.kind == RaceAnswer::Kind::None
+                                ? AtpgStatus::Abort
+                                : AtpgStatus::Unsat;
+  if (ans.core) cx.it.sat_core_size = ans.core->size();
+  return ans;
 }
 
 }  // namespace
@@ -194,17 +377,12 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   };
 
   // Engine selection: empty opt.engines enables everything. "bdd" gates the
-  // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates the
-  // sequential-ATPG probe and guided concretization; "sim" gates both
-  // random-simulation probes; "sat" gates the incremental BMC engine in both
-  // races; "pdr" gates the IC3 engine in both races. "bdd" and "pdr" can
-  // prove Holds (pdr in either race — an unbounded Step-3 Holds is a
-  // concrete proof), and "atpg"/"sim"/"sat"/"pdr" can conclude Fails — a
-  // list without either side narrows what the loop can ever answer.
+  // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates
+  // guided concretization (Step 3); "sat" gates the incremental BMC engine
+  // and "pdr" the IC3 engine, both in both races. validate() demands a
+  // Step-2 engine (bdd, sat or pdr). Only "bdd" and "pdr" can prove Holds,
+  // so a list with neither restricts the loop to falsification.
   const bool use_bdd = opt.engine_enabled("bdd");
-  const bool use_atpg = opt.engine_enabled("atpg");
-  const bool use_sim = opt.engine_enabled("sim");
-  const bool use_pdr = opt.engine_enabled("pdr");
   std::unique_ptr<SatBmc> sat_owned;
   SatBmc* sat_bmc = nullptr;
   if (opt.engine_enabled("sat")) {
@@ -267,7 +445,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     RFN_INFO("iter %zu: abstract model regs=%zu inputs=%zu gates=%zu", iter,
              it.abstract_regs, it.abstract_inputs, sub.net.num_gates());
 
-    // --- Step 2: prove or find an abstract error trace (engine race) ---
     BddMgr mgr;
     if (budgeted) mgr.set_live_node_probe(watchdog.node_probe());
     std::optional<Encoder> enc;
@@ -280,11 +457,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     mgr.set_node_budget(opt.reach.max_live_nodes);
     if (use_bdd) img.emplace(*enc);
 
-    // SAT and PDR results live above finish_iteration so the per-iteration
-    // record can harvest them on every exit path; the stat snapshot turns
-    // the shared incremental solver's cumulative counters into deltas.
-    SatBmcResult sat_probe, sat_conc;
-    PdrResult pdr_probe, pdr_conc;
+    // The stat snapshot turns the shared incremental solver's cumulative
+    // counters into per-iteration deltas.
     const sat::SolverStats sat_before =
         sat_bmc != nullptr ? sat_bmc->solver_stats() : sat::SolverStats{};
 
@@ -303,16 +477,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         const sat::SolverStats& ss = sat_bmc->solver_stats();
         done.sat_conflicts = ss.conflicts - sat_before.conflicts;
         done.sat_propagations = ss.propagations - sat_before.propagations;
-        done.sat_depth = std::max(sat_probe.depth, sat_conc.depth);
-        done.sat_core_size = sat_conc.status == AtpgStatus::Unsat
-                                 ? sat_conc.core_registers.size()
-                                 : 0;
-      }
-      if (use_pdr) {
-        done.pdr_obligations =
-            pdr_probe.stats.obligations + pdr_conc.stats.obligations;
-        done.pdr_clauses = pdr_probe.stats.clauses + pdr_conc.stats.clauses;
-        done.pdr_frames = std::max(pdr_probe.stats.frames, pdr_conc.stats.frames);
       }
       done.seconds = iter_watch.seconds();
       MetricsRegistry& reg = MetricsRegistry::global();
@@ -349,9 +513,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         opt.time_limit_s >= 0.0
             ? std::min(opt.race_probe_time_s, deadline.remaining_seconds())
             : opt.race_probe_time_s;
-    // PDR's race budget: unlike the probes it can conclude Holds, but an
-    // unlimited PDR job in an otherwise-winnerless race would stall the
-    // loop, so it runs under its own wall limit (0 = unlimited).
+    // PDR's race budget: it can conclude Holds, but an unlimited PDR job in
+    // an otherwise-winnerless race would stall the loop, so it runs under
+    // its own wall limit (0 = unlimited).
     const double pdr_race_s = opt.race_pdr_time_s > 0.0 ? opt.race_pdr_time_s : -1.0;
     const double pdr_budget =
         opt.time_limit_s >= 0.0
@@ -359,150 +523,39 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                    ? deadline.remaining_seconds()
                    : std::min(pdr_race_s, deadline.remaining_seconds()))
             : pdr_race_s;
+    IterationContext cx{
+        .m = m,
+        .bad = bad,
+        .opt = opt,
+        .sub = sub,
+        .included = included,
+        .cancel = cancel,
+        .it = it,
+        .enc = enc ? &*enc : nullptr,
+        .img = img ? &*img : nullptr,
+        .bad_set = bad_set,
+        .reach_opt = reach_opt,
+        .sat_bmc = sat_bmc,
+        .probe_budget = probe_budget,
+        .pdr_budget = pdr_budget,
+    };
 
-    // Up to five engines race the abstract obligation, in this priority
-    // order. BDD reachability and PDR can *prove*; the sequential-ATPG,
-    // random-simulation and SAT BMC probes can only *find* an abstract
-    // error trace — but when they do, the trace is exact, so a probe that
-    // wins after an inconclusive fixpoint still drives Steps 3-4. Jobs
-    // carry engine tags because the lineup depends on opt.engines — winner
-    // indices alone say nothing.
-    enum class Eng { Bdd, Atpg, Sim, Sat, Pdr };
-    ReachResult reach;
-    SeqAtpgResult atpg_probe;
-    Trace sim_probe;
-    std::vector<PortfolioJob> jobs;
-    std::vector<Eng> tags;
-    if (use_bdd) {
-      jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
-                        ReachOptions ro = reach_opt;
-                        ro.cancel = &token;
-                        reach = forward_reach(*img, enc->initial_states(), bad_set, ro);
-                        return reach.status != ReachStatus::ResourceOut;
-                      }});
-      tags.push_back(Eng::Bdd);
-    }
-    if (use_atpg) {
-      jobs.push_back({"seq-atpg", probe_budget, [&](const CancelToken& token) {
-                        AtpgOptions ao;
-                        ao.max_backtracks = kRaceAtpgBacktracks;
-                        ao.cancel = &token;
-                        for (size_t k = 1; k <= kRaceAtpgMaxDepth; ++k) {
-                          if (token.cancelled()) return false;
-                          SeqAtpgResult r = reach_target(sub.net, k, bad_new, true, {}, ao);
-                          if (r.status == AtpgStatus::Sat) {
-                            atpg_probe = std::move(r);
-                            return true;
-                          }
-                          // Unsat/Abort at depth k only bounds the shortest
-                          // trace; keep deepening until cancelled.
-                        }
-                        return false;
-                      }});
-      tags.push_back(Eng::Atpg);
-    }
-    if (use_sim) {
-      jobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
-                        sim_probe = random_sim_error_trace(
-                            sub.net, bad_new, kRaceSimCycles,
-                            0x51D5EEDull + iter, &token);
-                        return !sim_probe.empty();
-                      }});
-      tags.push_back(Eng::Sim);
-    }
-    if (sat_bmc != nullptr) {
-      // The enable-assumption formulation makes this the abstract obligation
-      // on the original design: registers outside `included` stay free, the
-      // same pseudo-input semantics the extracted subcircuit gives them. A
-      // bounded Unsat proves nothing unbounded, so only Sat is conclusive.
-      jobs.push_back({"sat-bmc", probe_budget, [&](const CancelToken& token) {
-                        sat_probe = sat_bmc->check(bad, kRaceSatMaxDepth,
-                                                   included, &token);
-                        return sat_probe.status == AtpgStatus::Sat;
-                      }});
-      tags.push_back(Eng::Sat);
-    }
-    if (use_pdr) {
-      // Same pseudo-input semantics again, IC3-style: the engine runs on the
-      // original design with only `included` as state, so a Holds here is an
-      // UNBOUNDED proof of the abstract obligation — the only non-BDD engine
-      // that can win this race in the Proved direction. A Cex is a real
-      // abstract error trace, already decoded into original-design ids.
-      jobs.push_back({"pdr", pdr_budget, [&](const CancelToken& token) {
-                        Pdr engine(m, bad, included);
-                        PdrOptions po;
-                        po.max_frames = opt.race_pdr_max_frames;
-                        pdr_probe = engine.run(po, &token);
-                        return pdr_probe.status == PdrStatus::Holds ||
-                               pdr_probe.status == PdrStatus::Cex;
-                      }});
-      tags.push_back(Eng::Pdr);
-    }
-    const RaceResult abs_race = race(jobs, cancel);
-    it.abstract_engine = abs_race.winner_name;
-    it.abstract_race_seconds = abs_race.seconds;
-    it.abstract_race_cpu_seconds = abs_race.cpu_seconds;
-    it.reach_status = use_bdd ? reach.status : ReachStatus::ResourceOut;
-    it.reach_steps = reach.steps;
-
-    std::vector<Trace> traces_n;  // abstract error traces in sub.net ids
-    std::vector<Trace> traces;    // the same traces in original-design ids
-    if (abs_race.conclusive && tags[abs_race.winner] == Eng::Bdd) {
-      if (reach.status == ReachStatus::Proved) {
-        saved_order = save_order(mgr, *enc, sub);
-        finish_iteration(it);
-        result.verdict = Verdict::Holds;
-        break;
-      }
-      // BadReachable: abstract error trace(s) via the hybrid engine.
-      HybridTraceOptions hybrid_opt = opt.hybrid;
-      if (hybrid_opt.cancel == nullptr) hybrid_opt.cancel = cancel;
-      traces_n = hybrid_error_traces(*enc, sub.net, reach, bad_set,
-                                     opt.traces_per_iteration, hybrid_opt,
-                                     &it.hybrid);
-      saved_order = save_order(mgr, *enc, sub);
-      if (traces_n.empty()) {
-        finish_iteration(it);
-        result.note = "hybrid trace engine exhausted candidates";
-        break;
-      }
-    } else if (abs_race.conclusive && tags[abs_race.winner] == Eng::Pdr &&
-               pdr_probe.status == PdrStatus::Holds) {
-      // PDR converged on the abstract obligation: the inductive frame is an
-      // unbounded proof, and subcircuit over-approximation lifts it to the
-      // original design. The frame travels out as the certification witness
-      // — a BDD fixpoint over this register scope may never have run.
-      it.reach_status = ReachStatus::Proved;
-      if (use_bdd) saved_order = save_order(mgr, *enc, sub);
-      result.pdr_invariant.present = true;
-      result.pdr_invariant.registers = pdr_probe.scope;
-      result.pdr_invariant.clauses = pdr_probe.clauses;
+    // --- Step 2: prove or find an abstract error trace (engine race) ---
+    RaceAnswer abs = abstract_step(cx, saved_order);
+    RFN_INFO("iter %zu: abstract race won by %s", iter,
+             it.abstract_engine.empty() ? "(none)" : it.abstract_engine.c_str());
+    if (abs.kind == RaceAnswer::Kind::Holds) {
+      // Subcircuit over-approximation lifts the abstract proof to the
+      // original design. A PDR frame travels out as the certification
+      // witness: a BDD fixpoint over this register scope may never have run.
+      result.pdr_invariant = std::move(abs.invariant);
       finish_iteration(it);
       result.verdict = Verdict::Holds;
-      RFN_INFO("iter %zu: pdr proved the abstract model (frames=%zu)", iter,
-               pdr_probe.stats.frames);
       break;
-    } else if (abs_race.conclusive) {
-      // A probe engine found an abstract error trace after the fixpoint (if
-      // enabled) was inconclusive: the trace is a real trace of the abstract
-      // model, so the obligation is BadReachable without any rings.
-      it.reach_status = ReachStatus::BadReachable;
-      const Eng w = tags[abs_race.winner];
-      if (w == Eng::Sat || w == Eng::Pdr) {
-        // SAT and PDR traces are decoded straight into original-design ids
-        // (cut registers in the input cubes), so they skip trace_to_old
-        // below.
-        traces.push_back(w == Eng::Sat ? std::move(sat_probe.trace)
-                                       : std::move(pdr_probe.trace));
-      } else {
-        traces_n.push_back(w == Eng::Atpg ? atpg_probe.trace : sim_probe);
-      }
-      if (use_bdd) saved_order = save_order(mgr, *enc, sub);
-      RFN_INFO("iter %zu: %s won the abstract race", iter,
-               abs_race.winner_name.c_str());
-    } else {
-      // No engine was conclusive: the exact fixpoint ran out of resources
-      // and the probes found nothing within their budgets.
+    }
+    if (abs.kind == RaceAnswer::Kind::None) {
+      // The exact fixpoint ran out of resources and the other engines
+      // concluded nothing within their budgets.
       if (use_bdd && opt.approx_fallback && !deadline.expired() &&
           !should_stop(cancel)) {
         // Future-work fallback: the overlapping-partition approximate
@@ -548,123 +601,31 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       result.note = "abstract fixpoint exceeded resources";
       break;
     }
-
-    for (const Trace& t : traces_n) traces.push_back(sub.trace_to_old(t));
-    const Trace& abs_trace = traces.front();
+    if (abs.traces.empty()) {
+      finish_iteration(it);
+      result.note = "hybrid trace engine exhausted candidates";
+      break;
+    }
+    const Trace& abs_trace = abs.traces.front();
     it.trace_cycles = abs_trace.cycles();
     RFN_INFO("iter %zu: %zu abstract error trace(s), first %zu cycles", iter,
-             traces.size(), abs_trace.cycles());
+             abs.traces.size(), abs_trace.cycles());
 
     // --- Step 3: concretize on the original design (engine race) ---
-    // Guided sequential ATPG is conclusive both ways (Sat = real trace,
-    // Unsat = spurious). SAT BMC with every register enabled is also
-    // conclusive both ways at this bounded depth: Sat is a real error trace
-    // (possibly shorter than the abstract one), Unsat proves no trace of
-    // length <= the abstract trace exists — so the trace is spurious, and
-    // the assumption core names the registers the refutation needed (the
-    // refinement hints). Random simulation can only conclude Sat, but a hit
-    // is a real error trace found without search.
-    ConcretizeResult conc;
-    Trace sim_cex;
-    std::vector<PortfolioJob> cjobs;
-    std::vector<Eng> ctags;
-    if (use_atpg) {
-      cjobs.push_back({"guided-atpg", -1.0, [&](const CancelToken& token) {
-                         AtpgOptions ao = opt.concretize_atpg;
-                         ao.cancel = &token;
-                         conc = traces.size() == 1
-                                    ? concretize_trace(m, abs_trace, bad, ao)
-                                    : concretize_with_traces(m, traces, bad, ao);
-                         return conc.status != AtpgStatus::Abort;
-                       }});
-      ctags.push_back(Eng::Atpg);
+    RaceAnswer conc = concrete_step(cx, abs.traces, all_regs);
+    if (conc.kind == RaceAnswer::Kind::Trace) {
+      finish_iteration(it);
+      result.verdict = Verdict::Fails;
+      result.error_trace = std::move(conc.traces.front());
+      break;
     }
-    if (use_sim) {
-      cjobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
-                         sim_cex = random_sim_error_trace(
-                             m, bad, kRaceSimCycles,
-                             0xC0FFEEULL + iter, &token);
-                         return !sim_cex.empty();
-                       }});
-      ctags.push_back(Eng::Sim);
-    }
-    if (sat_bmc != nullptr) {
-      cjobs.push_back({"sat-bmc", -1.0, [&](const CancelToken& token) {
-                         sat_conc = sat_bmc->check(bad, abs_trace.cycles(),
-                                                   all_regs, &token);
-                         return sat_conc.status != AtpgStatus::Abort;
-                       }});
-      ctags.push_back(Eng::Sat);
-    }
-    if (use_pdr) {
-      // Unbounded concrete check: with every register included, PDR's
-      // verdict is conclusive both ways — Cex is a real error trace, and
-      // Holds is an inductive proof on the FULL design, stronger than the
-      // bounded refutations beside it: it ends the whole loop, not just
-      // this trace.
-      cjobs.push_back({"pdr", pdr_budget, [&](const CancelToken& token) {
-                         Pdr engine(m, bad, all_regs);
-                         PdrOptions po;
-                         po.max_frames = opt.race_pdr_max_frames;
-                         pdr_conc = engine.run(po, &token);
-                         return pdr_conc.status == PdrStatus::Holds ||
-                                pdr_conc.status == PdrStatus::Cex;
-                       }});
-      ctags.push_back(Eng::Pdr);
-    }
-    RaceResult conc_race;
-    if (!cjobs.empty()) conc_race = race(cjobs, cancel);
-    it.concretize_engine = conc_race.winner_name;
-    it.concretize_race_seconds = conc_race.seconds;
-    it.concretize_race_cpu_seconds = conc_race.cpu_seconds;
-    if (conc_race.conclusive) {
-      const Eng w = ctags[conc_race.winner];
-      if (w == Eng::Sim) {
-        it.concretize_status = AtpgStatus::Sat;
-        finish_iteration(it);
-        result.verdict = Verdict::Fails;
-        result.error_trace = sim_cex;
-        break;
-      }
-      if (w == Eng::Sat) {
-        it.concretize_status = sat_conc.status;
-        if (sat_conc.status == AtpgStatus::Sat) {
-          finish_iteration(it);
-          result.verdict = Verdict::Fails;
-          result.error_trace = sat_conc.trace;
-          break;
-        }
-        // Unsat: spurious; fall through to refinement with the core hints.
-      }
-      if (w == Eng::Pdr) {
-        if (pdr_conc.status == PdrStatus::Cex) {
-          it.concretize_status = AtpgStatus::Sat;
-          finish_iteration(it);
-          result.verdict = Verdict::Fails;
-          result.error_trace = pdr_conc.trace;
-          break;
-        }
-        // Holds: an unbounded proof on the full design — the property holds
-        // outright, no matter what the abstract trace suggested.
-        it.concretize_status = AtpgStatus::Unsat;
-        result.pdr_invariant.present = true;
-        result.pdr_invariant.registers = pdr_conc.scope;
-        result.pdr_invariant.clauses = pdr_conc.clauses;
-        finish_iteration(it);
-        result.verdict = Verdict::Holds;
-        RFN_INFO("iter %zu: pdr proved the full design (frames=%zu)", iter,
-                 pdr_conc.stats.frames);
-        break;
-      }
-    }
-    if (!conc_race.conclusive || ctags[conc_race.winner] == Eng::Atpg) {
-      it.concretize_status = conc.status;
-      if (conc.status == AtpgStatus::Sat) {
-        finish_iteration(it);
-        result.verdict = Verdict::Fails;
-        result.error_trace = conc.trace;
-        break;
-      }
+    if (conc.kind == RaceAnswer::Kind::Holds) {
+      // PDR proved the full design: the property holds outright, no matter
+      // what the abstract trace suggested.
+      result.pdr_invariant = std::move(conc.invariant);
+      finish_iteration(it);
+      result.verdict = Verdict::Holds;
+      break;
     }
 
     // --- Step 4: refine ---
@@ -678,8 +639,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // candidate list. Hints only — identify_crucial_registers still vets
     // every one of them — so they steer the refinement, never the verdict.
     RefineOptions refine_opt = opt.refine;
-    if (sat_conc.status == AtpgStatus::Unsat) {
-      for (GateId r : sat_conc.core_registers)
+    if (conc.core) {
+      for (GateId r : *conc.core)
         if (!std::binary_search(included.begin(), included.end(), r))
           refine_opt.hints.push_back(r);
       if (!refine_opt.hints.empty())
@@ -696,9 +657,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // for any included set — the abstract check over-approximates for every
     // scope and concrete checks always run on the full design — so this can
     // change which abstractions the loop visits, never a verdict.
-    if (opt.proof_shrink && sat_conc.status == AtpgStatus::Unsat) {
-      it.shrunk_registers = shrink_abstraction(
-          &included, sat_conc.core_registers, &shrink_sticky);
+    if (opt.proof_shrink && conc.core) {
+      it.shrunk_registers =
+          shrink_abstraction(&included, *conc.core, &shrink_sticky);
       if (it.shrunk_registers > 0) {
         MetricsRegistry::global()
             .counter("rfn.shrink_registers")

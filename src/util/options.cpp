@@ -1,8 +1,22 @@
 #include "util/options.hpp"
 
+#include <cctype>
 #include <cstdlib>
 
 namespace rfn {
+
+namespace {
+
+// A dash-led token starts the next option unless it is negative number text
+// ("-1", "-.5"), which is the value of the option before it.
+bool starts_option(const char* token) {
+  if (token[0] != '-') return false;
+  const char* p = token + 1;
+  if (*p == '.') ++p;
+  return !std::isdigit(static_cast<unsigned char>(*p));
+}
+
+}  // namespace
 
 Options::Options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -15,7 +29,7 @@ Options::Options(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       put(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc && !starts_option(argv[i + 1])) {
       put(arg, argv[++i]);
     } else {
       put(arg, "1");

@@ -1,7 +1,9 @@
 #pragma once
 // Minimal command-line option parsing for examples and bench binaries.
 //
-// Supports --key=value, --key value, and boolean --flag forms. Unrecognized
+// Supports --key=value, --key value, and boolean --flag forms. In the
+// `--key value` form a dash-led token is the next option, not a value,
+// unless it is negative number text (`--traces -1`). Unrecognized
 // arguments are collected as positionals so google-benchmark flags pass
 // through untouched.
 

@@ -84,34 +84,27 @@ std::string format_engine_stats(const MetricsSnapshot& s) {
   };
   // Thread-CPU seconds from the portfolio's per-job accounting
   // ("engine.cpu.<job>" timers); "-" for engines that never raced.
-  auto cpu = [&s](std::initializer_list<const char*> jobs) -> std::string {
-    double total = 0.0;
-    bool any = false;
-    for (const char* job : jobs) {
-      const std::string key = std::string("engine.cpu.") + job + ".seconds";
-      if (s.values.find(key) == s.values.end()) continue;
-      total += s.value(key.c_str());
-      any = true;
-    }
-    return any ? fmt_double(total, 3) : "-";
+  auto cpu = [&s](const char* job) -> std::string {
+    const std::string key = std::string("engine.cpu.") + job + ".seconds";
+    if (s.values.find(key) == s.values.end()) return "-";
+    return fmt_double(s.value(key.c_str()), 3);
   };
   Table t({"engine", "calls", "effort", "wall (s)", "cpu (s)"});
   t.add_row({"bdd-reach", count("mc.reach.calls"),
              count("mc.reach.image_steps") + " image steps",
              fmt_double(s.value("mc.reach.seconds"), 3),
-             cpu({"bdd-reach"})});
+             cpu("bdd-reach")});
   t.add_row({"comb-atpg", count("atpg.comb.calls"),
              count("atpg.comb.backtracks") + " backtracks", "-", "-"});
-  t.add_row({"seq-atpg", count("atpg.seq.calls"),
+  t.add_row({"guided-atpg", count("atpg.seq.calls"),
              count("atpg.seq.backtracks") + " backtracks", "-",
-             cpu({"seq-atpg", "guided-atpg"})});
+             cpu("guided-atpg")});
   t.add_row({"hybrid", count("hybrid.walks"),
              count("hybrid.atpg_calls") + " atpg calls", "-", "-"});
   t.add_row({"sat-bmc", count("sat.checks"),
-             count("sat.conflicts") + " conflicts", "-", cpu({"sat-bmc"})});
+             count("sat.conflicts") + " conflicts", "-", cpu("sat-bmc")});
   t.add_row({"pdr", count("pdr.runs"), count("pdr.clauses") + " clauses",
-             fmt_double(s.value("pdr.run.seconds"), 3), cpu({"pdr"})});
-  t.add_row({"rand-sim", "-", "-", "-", cpu({"rand-sim"})});
+             fmt_double(s.value("pdr.run.seconds"), 3), cpu("pdr")});
   return t.to_string();
 }
 

@@ -113,6 +113,43 @@ TEST(Rfn, DeepBugFoundThroughGuidedAtpg) {
   EXPECT_EQ(replay(m, res.error_trace, m.output("bad")), Tri::T);
 }
 
+TEST(Rfn, SatProbeFalsifiesWhenExactFixpointIsCut) {
+  // Free-running mod-8 counter: `bad` = all three bits high first rises at
+  // cycle 8. Every register feeds `bad`, so the initial abstraction is the
+  // whole design, and a 3-step fixpoint cannot reach the bad ring.
+  NetBuilder b;
+  const GateId r0 = b.reg("r0", Tri::F);
+  const GateId r1 = b.reg("r1", Tri::F);
+  const GateId r2 = b.reg("r2", Tri::F);
+  b.set_next(r0, b.not_(r0));
+  b.set_next(r1, b.xor_(r1, r0));
+  b.set_next(r2, b.xor_(r2, b.and_(r1, r0)));
+  b.output("bad", b.and_(r2, b.and_(r1, r0)));
+  const Netlist m = b.take();
+  const GateId bad = m.output("bad");
+
+  RfnOptions opt;
+  opt.reach.max_steps = 3;
+  // bdd + sat: the SAT engine answers both races once bdd-reach is cut.
+  // The default lineup puts guided ATPG first in Step 3.
+  for (const bool sat_only_falsifier : {true, false}) {
+    opt.engines = sat_only_falsifier ? std::vector<std::string>{"bdd", "sat"}
+                                     : std::vector<std::string>{};
+    const RfnResult res = run_property(m, bad, opt);
+    ASSERT_EQ(res.verdict, Verdict::Fails) << res.note;
+    ASSERT_EQ(res.per_iteration.size(), 1u);
+    const RfnIteration& it = res.per_iteration.front();
+    EXPECT_EQ(it.abstract_engine, "sat-bmc");
+    EXPECT_EQ(it.reach_status, ReachStatus::BadReachable);
+    EXPECT_FALSE(it.approx_used);
+    EXPECT_EQ(it.concretize_engine,
+              sat_only_falsifier ? "sat-bmc" : "guided-atpg");
+    EXPECT_EQ(it.concretize_status, AtpgStatus::Sat);
+    EXPECT_EQ(res.error_trace.cycles(), 8u);
+    EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T);
+  }
+}
+
 TEST(Refine, SimulationFindsConflictingRegister) {
   // r1 <- const0; abstract model {r2} with pseudo-input r1. A trace claiming
   // r1=1 at cycle 2 conflicts with the simulated 0.
@@ -323,7 +360,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   // Pin the pre-PDR lineup: this test exercises the approximate-traversal
   // fallback, and the IC3 engine would simply prove the property outright
   // before the race ever comes up winnerless.
-  opt.engines = {"bdd", "atpg", "sim", "sat"};
+  opt.engines = {"bdd", "atpg", "sat"};
   // Cripple the exact engine just enough: refinement traces stay shallow
   // (any still-free counter violates within ~2 steps), but the final full
   // model's fixpoint needs 5+ image steps, which only the fallback gets.

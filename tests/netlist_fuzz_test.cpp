@@ -10,8 +10,6 @@
 //     within the diameter with a core drawn from the register set;
 //   * 64-way random simulation: every visited state lies in the BDD
 //     fixpoint, hits imply BadReachable at a consistent depth;
-//   * the portfolio's random-simulation trace adapter: returned traces
-//     replay to bad = 1, safe designs yield no trace;
 //   * the BFS coverage baseline: with the full register set its
 //     unreachable-state count matches exhaustive enumeration of the BDD
 //     fixpoint;
@@ -33,7 +31,6 @@
 #include "core/bfs_baseline.hpp"
 #include "core/certificate.hpp"
 #include "core/certify.hpp"
-#include "core/portfolio.hpp"
 #include "core/session.hpp"
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
@@ -284,20 +281,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
             << "simulation hit bad before the first bad ring";
       }
       sim.step();
-    }
-  }
-
-  // The portfolio's simulation adapter: traces replay, safe designs stay
-  // clean, and trace length respects the BDD shortest-trace bound.
-  {
-    const Trace cex = random_sim_error_trace(m, bad, 24, seed ^ round);
-    if (reach.status == ReachStatus::Proved) {
-      EXPECT_TRUE(cex.empty())
-          << "sim adapter found a trace on a proved-safe design";
-    }
-    if (!cex.empty()) {
-      EXPECT_EQ(simulate_trace(m, cex, bad), Tri::T);
-      EXPECT_GE(cex.cycles(), reach.steps + 1);
     }
   }
 

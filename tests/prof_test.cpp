@@ -1,9 +1,9 @@
 // Resource-profiler tests (util/prof and its consumers): CPU clock
 // monotonicity, byte-exact arena accounting in the BDD manager and the SAT
 // solver (tracked == recomputed from the live containers), RssLog thinning
-// with an exact peak, per-task executor / per-job portfolio CPU
-// attribution, folded-stack self-time balance, the watchdog's memory
-// budget, end-to-end --budget-mem-mb degradation to resource-out, and a
+// with an exact peak, per-job portfolio CPU attribution, folded-stack
+// self-time balance, the watchdog's memory budget, end-to-end
+// --budget-mem-mb degradation to resource-out, and a
 // golden check of the CLI's rfn-prof-v1 artifact cross-validated with
 // tools/trace_report.py --prof when python3 is available.
 
@@ -27,7 +27,6 @@
 #include "netlist/builder.hpp"
 #include "sat/solver.hpp"
 #include "util/cancel.hpp"
-#include "util/executor.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
@@ -158,23 +157,6 @@ TEST(SatArena, TrackedBytesMatchRecomputed) {
   // still be byte-exact against the live containers.
   EXPECT_EQ(s.heap_bytes(), s.heap_bytes_recomputed());
   EXPECT_EQ(s.heap_bytes(), s.heap_bytes_peak());  // capacities never shrink
-}
-
-TEST(ExecutorCpu, AccumulatesTaskCpuAcrossWorkers) {
-  Executor exec(2);
-  for (int i = 0; i < 4; ++i)
-    exec.submit([] { burn_thread_cpu(2'000'000); });
-  // Quiesce: enqueue nothing more and wait for the counter to reach the
-  // total (each task adds its delta as it finishes).
-  for (int spin = 0; spin < 2000 && exec.cpu_seconds() < 0.008; ++spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GE(exec.cpu_seconds(), 0.008);  // 4 tasks x 2 ms
-}
-
-TEST(ExecutorCpu, InlineModeCountsToo) {
-  Executor exec(0);  // no workers: submit() runs inline
-  exec.submit([] { burn_thread_cpu(2'000'000); });
-  EXPECT_GE(exec.cpu_seconds(), 0.002);
 }
 
 TEST(PortfolioCpu, RaceAttributesCpuToEngineTimers) {

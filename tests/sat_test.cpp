@@ -307,10 +307,29 @@ TEST(SatOptions, ValidateRejectsUnknownEngines) {
   EXPECT_NE(msgs.front().find("unknown engine \"bogus\""), std::string::npos);
   // The rejection must spell out the whole valid engine set so a typo is
   // self-correcting from the message alone.
-  for (const char* engine : {"bdd", "atpg", "sim", "sat"})
+  for (const char* engine : {"bdd", "atpg", "sat", "pdr"})
     EXPECT_NE(msgs.front().find(engine), std::string::npos)
         << "message does not name engine \"" << engine
         << "\": " << msgs.front();
+
+  // "sim", the retired random-simulation racer, is unknown now.
+  opt.engines = {"bdd", "sim"};
+  EXPECT_EQ(opt.validate(), std::vector<std::string>{
+                                "unknown engine \"sim\" (valid engines: "
+                                "bdd,atpg,sat,pdr)"});
+}
+
+TEST(SatOptions, ValidateRejectsListWithoutStep2Engine) {
+  // Guided ATPG runs only in Step 3: alone, every run would end Unknown.
+  RfnOptions opt;
+  opt.engines = {"atpg"};
+  EXPECT_EQ(opt.validate(),
+            std::vector<std::string>{
+                "engines must include a Step-2 engine (bdd, sat or pdr)"});
+  for (const char* step2 : {"bdd", "sat", "pdr"}) {
+    opt.engines = {"atpg", step2};
+    EXPECT_TRUE(opt.validate().empty()) << step2;
+  }
 }
 
 TEST(SatOptions, EngineEnabledDefaultsToAll) {

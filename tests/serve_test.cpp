@@ -803,6 +803,31 @@ constexpr BadOverride kBadOverrides[] = {
     {"budget-bdd-nodes", "-7", "budget_bdd_nodes"},
 };
 
+// Engine lists are checked before any engine runs: "sim" (the retired
+// random-simulation racer) is an unknown name, and a list without a Step-2
+// engine could only ever end Unknown. The CLI exits 2 and the server
+// answers bad-request, each naming the fault.
+constexpr std::pair<const char*, const char*> kBadEngines[] = {
+    {"sim", "unknown engine \"sim\""},
+    {"atpg", "Step-2 engine (bdd, sat or pdr)"},
+};
+
+// Runs `cmd` and expects the usage exit 2 with `named` in its stderr. Every
+// command runs under a timeout (exit 124 means it hung). The stderr file is
+// per process: ctest runs the tests of this binary concurrently.
+void expect_usage_error(const std::string& cmd, const std::string& named) {
+  const std::string err = ::testing::TempDir() + "/usage-" +
+                          std::to_string(::getpid()) + ".err";
+  const int rc =
+      std::system(("timeout 60 " + cmd + " > /dev/null 2> " + err).c_str());
+  ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+  std::stringstream msg;
+  msg << std::ifstream(err).rdbuf();
+  EXPECT_NE(msg.str().find(named), std::string::npos) << cmd << ": " << msg.str();
+  std::remove(err.c_str());
+}
+
 #ifdef RFN_CLI_PATH
 TEST(ServeEndToEnd, CliRejectsInvalidPropsOverrides) {
   const std::string props = ::testing::TempDir() + "/bad_overrides.props";
@@ -830,13 +855,13 @@ TEST(ServeEndToEnd, CliRejectsInvalidPropsOverrides) {
 
 // Count flags parse like --props counts: negative or non-numeric text exits
 // 2 naming the flag. Unchecked, --traces=-1 wrapped to 2^64-1 and hung the
-// run, so every case runs under a timeout (exit 124 means it hung).
+// run, and `--traces -1` parsed as `--traces 1`.
 TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
-  const std::string err = ::testing::TempDir() + "/bad_counts.err";
   const std::string hw_plus_one = std::to_string(
       std::max(1u, std::thread::hardware_concurrency()) + 1);
   const std::pair<std::string, std::string> cases[] = {
       {"--traces=-1", "--traces"},
+      {"--traces -1", "--traces"},
       {"--traces=abc", "--traces"},
       {"--pdr-max-frames=-1", "--pdr-max-frames"},
       {"--pdr-max-frames=7x", "--pdr-max-frames"},
@@ -844,20 +869,42 @@ TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
       {"--session-workers=" + hw_plus_one, "session.workers"},
       {"--workers=2", "--workers is gone"},
   };
-  for (const auto& [flag, named] : cases) {
-    const std::string cmd = "timeout 60 " + std::string(RFN_CLI_PATH) +
-                            " verify builtin:fifo --bad bad_full_q " + flag +
-                            " > /dev/null 2> " + err;
-    const int rc = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
-    std::stringstream msg;
-    msg << std::ifstream(err).rdbuf();
-    EXPECT_NE(msg.str().find(named), std::string::npos) << msg.str();
-  }
-  std::remove(err.c_str());
+  for (const auto& [flag, named] : cases)
+    expect_usage_error(std::string(RFN_CLI_PATH) +
+                           " verify builtin:fifo --bad bad_full_q " + flag,
+                       named);
+}
+
+TEST(ServeEndToEnd, CliRejectsInvalidEngineLists) {
+  for (const auto& [engines, named] : kBadEngines)
+    expect_usage_error(std::string(RFN_CLI_PATH) +
+                           " verify builtin:fifo --bad bad_full_q --engine " +
+                           engines,
+                       named);
 }
 #endif  // RFN_CLI_PATH
+
+#ifdef RFN_SERVE_PATH
+// rfn_serve's count flags parse strictly and --workers is capped at the
+// hardware thread count. Unchecked, `--workers -1` was undefined behaviour
+// and `--workers 1e6` started a million threads, so every value here must
+// be rejected before the server exists: an accepted one would listen on the
+// socket until the timeout.
+TEST(ServeEndToEnd, ServeRejectsInvalidCountFlags) {
+  const std::string sock = ::testing::TempDir() + "/serve_counts.sock";
+  const std::string cases[] = {
+      "--workers -1", "--workers 1e6", "--workers 2.5",
+      "--workers " + std::to_string(
+                         std::max(1u, std::thread::hardware_concurrency()) + 1),
+      "--queue-cap -1", "--port x", "--port 65536",
+  };
+  for (const std::string& flag : cases)
+    expect_usage_error(std::string(RFN_SERVE_PATH) + " --socket " + sock +
+                           " " + flag,
+                       flag.substr(0, flag.find(' ')));
+  std::remove(sock.c_str());
+}
+#endif  // RFN_SERVE_PATH
 
 TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
   serve::ServerOptions opt;
@@ -893,6 +940,17 @@ TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
   EXPECT_NE(resp.find("error")->as_string().find("session.workers"),
             std::string::npos)
       << resp.dump();
+  for (const auto& [engines, named] : kBadEngines) {
+    const json::Value r = client.transact(json::parse(
+        std::string(R"({"type":"verify","version":"rfn-req-v1",)"
+                    R"("design":{"path":"builtin:fifo"},"options":{"engines":[")") +
+        engines + "\"]}}"));
+    ASSERT_NE(r.find("ok"), nullptr) << r.dump();
+    EXPECT_FALSE(r.find("ok")->as_bool()) << engines;
+    EXPECT_EQ(r.find("reject_reason")->as_string(), "bad-request");
+    EXPECT_NE(r.find("error")->as_string().find(named), std::string::npos)
+        << r.dump();
+  }
   server.stop();
 }
 

@@ -41,6 +41,20 @@ TEST(Options, BoolForms) {
   EXPECT_TRUE(opts.get_bool("d", false));
 }
 
+TEST(Options, NegativeNumberAfterKeyIsItsValue) {
+  const char* argv[] = {"prog",    "--traces", "-1",  "--ratio", "-0.5",
+                        "--frac",  "-.5",      "--flag", "--next", "-x"};
+  Options opts(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  EXPECT_EQ(opts.get("traces", ""), "-1");
+  EXPECT_DOUBLE_EQ(opts.get_double("ratio", 0.0), -0.5);
+  EXPECT_DOUBLE_EQ(opts.get_double("frac", 0.0), -0.5);
+  // A dash-led token that is not a number still starts the next option.
+  EXPECT_EQ(opts.get("flag", ""), "1");
+  EXPECT_EQ(opts.get("next", ""), "1");
+  ASSERT_EQ(opts.positionals().size(), 1u);
+  EXPECT_EQ(opts.positionals()[0], "-x");
+}
+
 TEST(TableFormat, AlignsColumns) {
   Table t({"name", "value"});
   t.add_row({"x", "1"});

@@ -5,11 +5,85 @@
 #   tools/ci_dryrun.sh            one matrix cell (gcc Release) + TSan +
 #                                 bench gate + corpus gate + gate self-checks
 #   tools/ci_dryrun.sh --full     the whole matrix and both sanitizers
+#   tools/ci_dryrun.sh --step NAME BUILD_DIR
+#                                 one sanitize-job step against an existing
+#                                 build (BUILD_DIR relative to the repo
+#                                 root): sat, pdr, certs, budget-out or
+#                                 mem-out. ci.yml's sanitize job calls these.
 #
 # Cells whose toolchain is absent locally (clang, ccache) are skipped with a
 # notice instead of failing: the hosted workflow installs them itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+note() { printf '\n=== %s ===\n' "$*"; }
+
+# --- sanitize-job steps (ci.yml calls them through --step) -----------------
+# Each takes the build directory. Both sanitizer builds run sat, pdr and
+# certs; TSan also runs the two resource-out steps.
+
+step_sat() { # SAT suite + a budgeted, certified bdd+sat run
+  "$1/tests/sat_test"
+  "$1/tools/rfn" verify builtin:processor --bad error_flag \
+    --engine bdd,sat --budget-ms 5000 --certify
+}
+
+step_pdr() { # PDR suite + budgeted, certified bdd+sat+pdr runs per builtin
+  "$1/tests/pdr_test"
+  local spec design prop
+  for spec in "fifo bad_full_q" "processor bad_mutex" "iu iu0" "usb bad_se1"; do
+    read -r design prop <<<"$spec"
+    "$1/tools/rfn" verify "builtin:$design" --bad "$prop" \
+      --engine bdd,sat,pdr --budget-ms 10000 --certify
+  done
+}
+
+step_certs() { # witnesses of both polarities, each re-checked by rfn_check
+  local spec design args cert
+  for spec in "fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q" \
+              "processor --bad bad_mutex --bad error_flag" \
+              "iu --bad bad_dec --bad iu0" "usb --bad bad_se1 --bad usb1_0"; do
+    read -r design args <<<"$spec"
+    # $args unquoted on purpose: it splits into the --bad flags.
+    "$1/tools/rfn" verify "builtin:$design" $args --cert-dir "$1/certs-$design"
+    for cert in "$1/certs-$design"/*.cert.json; do
+      "$1/tools/rfn_check" "$cert" "builtin:$design"
+    done
+  done
+}
+
+# Budgeted runs must degrade to resource-out — exit exactly 1, never a
+# sanitizer abort, an OOM kill or a hang — with the trip in their traces.
+# A 1 MiB RSS budget is below any live process's footprint.
+expect_resource_out() { # <command...>
+  local rc=0
+  "$@" || rc=$?
+  if [[ $rc != 1 ]]; then
+    echo "ci_dryrun: budgeted run exited $rc (expected 1: resource-out)" >&2
+    return 1
+  fi
+}
+step_budget_out() {
+  expect_resource_out "$1/tools/rfn" verify tests/data/slow24.v --bad bad \
+    --budget-ms 300 --trace-spans "$1/tsan-spans.json"
+  python3 tools/trace_report.py "$1/tsan-spans.json" | grep budget_trip
+}
+step_mem_out() { # plus one profiled run whose rfn-prof-v1 artifact is checked
+  expect_resource_out "$1/tools/rfn" verify tests/data/slow24.v --bad bad \
+    --budget-mem-mb 1 --trace-json "$1/tsan-mem-trace.jsonl"
+  grep -q '"reason":"mem-budget"' "$1/tsan-mem-trace.jsonl"
+  "$1/tools/rfn" verify tests/data/demo.v --bad bad_q \
+    --prof-json "$1/tsan-prof.json" --prof-folded "$1/tsan-prof.folded"
+  python3 tools/trace_report.py --prof "$1/tsan-prof.json"
+}
+
+if [[ "${1:-}" == "--step" ]]; then
+  case "${2:-}/$#" in
+    sat/3|pdr/3|certs/3|budget-out/3|mem-out/3) "step_${2//-/_}" "$3"; exit 0 ;;
+  esac
+  echo "usage: $0 --step sat|pdr|certs|budget-out|mem-out BUILD_DIR" >&2
+  exit 2
+fi
 
 FULL=0
 [[ "${1:-}" == "--full" ]] && FULL=1
@@ -18,8 +92,6 @@ LAUNCHER_ARGS=()
 if command -v ccache >/dev/null 2>&1; then
   LAUNCHER_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
-
-note() { printf '\n=== %s ===\n' "$*"; }
 
 build_and_test() { # <dir> <extra cmake args...>
   local dir=$1; shift
@@ -57,31 +129,11 @@ for san in "${sanitizers[@]}"; do
   build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san" \
     -DCMAKE_CXX_FLAGS="$cxxflags"
   note "sanitize ($san): SAT engine suite + budgeted bdd+sat run"
-  "./$dir/tests/sat_test"
-  "./$dir/tools/rfn" verify builtin:processor --bad error_flag \
-    --engine bdd,sat --budget-ms 5000 --certify
+  step_sat "$dir"
   note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
-  "./$dir/tests/pdr_test"
-  for spec in "fifo bad_full_q" "processor bad_mutex" \
-              "iu iu0" "usb bad_se1"; do
-    read -r design prop <<<"$spec"
-    "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
-      --engine bdd,sat,pdr --budget-ms 10000 --certify
-  done
+  step_pdr "$dir"
   note "sanitize ($san): certificates checked by rfn_check"
-  check_certs() { # <builddir> <design> <property args...>
-    local bdir=$1 design=$2; shift 2
-    "./$bdir/tools/rfn" verify "builtin:$design" "$@" \
-      --cert-dir "$bdir/certs-$design"
-    local cert
-    for cert in "$bdir/certs-$design"/*.cert.json; do
-      "./$bdir/tools/rfn_check" "$cert" "builtin:$design"
-    done
-  }
-  check_certs "$dir" fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q
-  check_certs "$dir" processor --bad bad_mutex --bad error_flag
-  check_certs "$dir" iu --bad bad_dec --bad iu0
-  check_certs "$dir" usb --bad bad_se1 --bad usb1_0
+  step_certs "$dir"
   if [[ $san == thread ]]; then
     note "sanitize (thread): concurrency suites"
     "./$dir/tests/portfolio_test"
@@ -105,32 +157,9 @@ for san in "${sanitizers[@]}"; do
     wait "$serve_pid"
     python3 tools/trace_report.py --serve "$dir/tsan-serve-session.jsonl"
     note "sanitize (thread): budgeted resource-out run"
-    # Must degrade cleanly (exit exactly 1: inconclusive verdict, not a
-    # TSan abort) with a budget-trip span.
-    rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
-      --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
-    if [[ $rc != 1 ]]; then
-      echo "ci_dryrun: budgeted run exited $rc (expected 1: resource-out)" >&2
-      exit 1
-    fi
-    python3 tools/trace_report.py "$dir/tsan-spans.json" | grep budget_trip
+    step_budget_out "$dir"
     note "sanitize (thread): memory-budget resource-out run"
-    # A 1 MiB RSS budget is below any live process's footprint: the run
-    # must degrade to resource-out (exit 1, never an OOM kill or a hang)
-    # with the tripped budget named in the trace. The watchdog's RSS poll
-    # races the engines by design — TSan watches the trip hand-off.
-    rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
-      --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
-    if [[ $rc != 1 ]]; then
-      echo "ci_dryrun: memory-budgeted run exited $rc (expected 1)" >&2
-      exit 1
-    fi
-    grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
-    "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q \
-      --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
-    python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
+    step_mem_out "$dir"
   fi
 done
 

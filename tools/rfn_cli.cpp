@@ -15,10 +15,11 @@
 // unchanged. Common options:
 //   --time-limit S     wall-clock budget (default 300)
 //   --engine LIST      engines entering the races, comma-separated subset of
-//                      bdd,atpg,sim,sat,pdr (repeatable; default: all five).
-//                      Unknown names are rejected up front. Only bdd and pdr
-//                      can prove HOLDS; a list without either can only
-//                      falsify.
+//                      bdd,atpg,sat,pdr (repeatable; default: all four).
+//                      Unknown names, and lists without a Step-2 engine
+//                      (bdd, sat or pdr), are rejected up front. Only bdd
+//                      and pdr can prove HOLDS; a list without either can
+//                      only falsify.
 //   --proof-shrink     proof-based abstraction shrinking: drop included
 //                      registers a Step-3 bounded-UNSAT core never touched
 //                      (alternating grow/shrink; never changes a verdict)

@@ -24,11 +24,15 @@
 //
 // Exit status: 0 clean shutdown, 2 usage or bind errors.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
+#include "api/api.hpp"
 #include "serve/server.hpp"
 
 using namespace rfn;
@@ -41,7 +45,8 @@ int usage() {
       "usage: rfn_serve (--socket PATH | --port N) [options]\n"
       "  --socket PATH        listen on a Unix-domain socket\n"
       "  --port N             listen on loopback TCP port N (0 = ephemeral)\n"
-      "  --workers N          queue-draining worker threads (default 1)\n"
+      "  --workers N          queue-draining worker threads (default 1,\n"
+      "                       at most the hardware thread count)\n"
       "  --queue-cap N        admitted-but-unfinished job bound (default 64)\n"
       "  --admit-ms X         wall-time admission window over outstanding\n"
       "                       budget-ms/time-limit demands (default off)\n"
@@ -77,18 +82,35 @@ int main(int argc, char** argv) {
       }
       return true;
     };
+    // Counts parse like rfn-req-v1 counts (api::parse_count): negative,
+    // fractional or trailing text, or a value above `max`, is a usage
+    // error. All of them are checked before the server (and its worker
+    // threads) exists.
+    auto count = [&](size_t max, size_t* out) {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      try {
+        const size_t v = api::parse_count(text);
+        if (v <= max) return *out = v, true;
+      } catch (const std::exception&) {
+      }
+      std::fprintf(stderr, "rfn_serve: %s needs a count <= %zu, got '%s'\n",
+                   arg.c_str(), max, text);
+      return false;
+    };
     double num = 0;
+    size_t n = 0;
     if (arg == "--socket" && i + 1 < argc) {
       opt.unix_socket = argv[++i];
     } else if (arg == "--port") {
-      if (!value(&num)) return 2;
-      opt.tcp_port = static_cast<int>(num);
+      if (!count(65535, &n)) return 2;
+      opt.tcp_port = static_cast<int>(n);
     } else if (arg == "--workers") {
-      if (!value(&num)) return 2;
-      opt.workers = static_cast<size_t>(num);
+      // Capped like session.workers, at the hardware thread count.
+      if (!count(std::max(1u, std::thread::hardware_concurrency()),
+                 &opt.workers))
+        return 2;
     } else if (arg == "--queue-cap") {
-      if (!value(&num)) return 2;
-      opt.admission.queue_capacity = static_cast<size_t>(num);
+      if (!count(SIZE_MAX, &opt.admission.queue_capacity)) return 2;
     } else if (arg == "--admit-ms") {
       if (!value(&num)) return 2;
       opt.admission.time_window_ms = num;
@@ -102,8 +124,8 @@ int main(int argc, char** argv) {
       if (!value(&num)) return 2;
       opt.admission.default_demand_ms = num;
     } else if (arg == "--warm-mb") {
-      if (!value(&num)) return 2;
-      opt.warm_budget_bytes = static_cast<int64_t>(num) << 20;
+      if (!count(INT64_MAX >> 20, &n)) return 2;
+      opt.warm_budget_bytes = static_cast<int64_t>(n) << 20;
     } else if (arg == "--no-warm") {
       opt.warm_enabled = false;
     } else {
