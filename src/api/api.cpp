@@ -72,11 +72,14 @@ bool want_size(const json::Value& v, const std::string& ctx, size_t* out,
 
 bool want_int64(const json::Value& v, const std::string& ctx, int64_t* out,
                 std::string* error) {
-  if (!v.is_number()) {
-    *error = ctx + " must be a number";
+  // Whole and inside [-2^63, 2^63): casting a fraction truncates it, and
+  // casting a double past INT64_MAX (1e30) is undefined behaviour.
+  const double d = v.is_number() ? v.as_double() : 0.5;
+  if (!(d >= -0x1p63 && d < 0x1p63 && d == std::floor(d))) {
+    *error = ctx + " must be an integer in the int64 range";
     return false;
   }
-  *out = static_cast<int64_t>(v.as_double());
+  *out = static_cast<int64_t>(d);
   return true;
 }
 
@@ -99,6 +102,21 @@ size_t parse_count(const std::string& text) {
   return n;
 }
 
+double parse_real(const std::string& text) {
+  size_t end = 0;
+  const double d = std::stod(text, &end);
+  if (end != text.size()) throw std::invalid_argument("trailing text");
+  if (!std::isfinite(d)) throw std::out_of_range("non-finite value");
+  return d;
+}
+
+int64_t parse_int64(const std::string& text) {
+  size_t end = 0;
+  const long long n = std::stoll(text, &end, 10);
+  if (end != text.size()) throw std::invalid_argument("trailing text");
+  return n;
+}
+
 GateId find_signal(const Netlist& n, const std::string& name) {
   GateId g = n.find(name);
   if (g == kNullGate) g = n.output(name);
@@ -111,17 +129,17 @@ bool apply_override(const std::string& key, const std::string& value,
     if (key == "name") {
       out->name = value;
     } else if (key == "time-limit") {
-      out->overrides.time_limit_s = std::stod(value);
+      out->overrides.time_limit_s = parse_real(value);
     } else if (key == "max-iterations") {
       out->overrides.max_iterations = parse_count(value);
     } else if (key == "traces") {
       out->overrides.traces_per_iteration = parse_count(value);
     } else if (key == "budget-ms") {
-      out->overrides.budget_ms = std::stod(value);
+      out->overrides.budget_ms = parse_real(value);
     } else if (key == "budget-bdd-nodes") {
-      out->overrides.budget_bdd_nodes = std::stoll(value);
+      out->overrides.budget_bdd_nodes = parse_int64(value);
     } else if (key == "budget-mem-mb") {
-      out->overrides.budget_mem_mb = std::stoll(value);
+      out->overrides.budget_mem_mb = parse_int64(value);
     } else {
       *error = "unknown key '" + key + "'";
       return false;
@@ -249,7 +267,6 @@ json::Value VerifyRequest::to_json() const {
   sess.set("workers", session_workers);
   sess.set("batch-budget-ms", batch_budget_ms);
   sess.set("reuse", reuse);
-  sess.set("batch", batch);
   o.set("session", std::move(sess));
 
   o.set("certify", certify);
@@ -383,8 +400,6 @@ bool parse_session(const json::Value& v, VerifyRequest* out,
       if (!want_double(val, ctx, &out->batch_budget_ms, error)) return false;
     } else if (key == "reuse") {
       if (!want_bool(val, ctx, &out->reuse, error)) return false;
-    } else if (key == "batch") {
-      if (!want_bool(val, ctx, &out->batch, error)) return false;
     } else {
       *error = "unknown key 'session." + key + "'";
       return false;
@@ -689,6 +704,12 @@ VerifyResponse VerifyResponse::reject(const std::string& id,
 // ---------------------------------------------------------------------------
 // The shared run path
 
+namespace {
+
+/// Resolves the request's property selection against the loaded design:
+/// explicit specs first, else the design's AIGER property list, else the
+/// conventional "bad" signal. False with a one-line error (prefixed by the
+/// spec's origin, when set) on unknown signals.
 bool resolve_properties(const Netlist& n,
                         const std::vector<aiger::AigerProperty>& aiger_props,
                         const std::vector<PropertySpec>& specs,
@@ -733,16 +754,17 @@ bool resolve_properties(const Netlist& n,
   return true;
 }
 
-CertificateArtifact certify_property(const Netlist& design, GateId bad,
-                                     const std::string& name, Verdict verdict,
-                                     const Trace& trace,
-                                     const std::vector<GateId>& final_registers,
-                                     CertificateRecord* rec,
-                                     const PdrInvariantWitness* pdr_invariant) {
-  CertificateArtifact art =
-      certify_with_witness(design, bad, name, verdict, trace, final_registers,
-                           {}, pdr_invariant);
-  rec->property = name;
+/// Builds + checks the witness for one concluded property and flattens the
+/// outcome into the rfn-trace-v2 certificate record. A PDR Holds hands its
+/// inductive frame over instead of a recomputed BDD fixpoint: the frame's
+/// register scope may not support one.
+CertificateArtifact certify_property(const Netlist& design,
+                                     const PropertyResult& r,
+                                     CertificateRecord* rec) {
+  CertificateArtifact art = certify_with_witness(
+      design, r.bad, r.name, r.verdict, r.trace, r.stats.final_registers, {},
+      r.stats.pdr_invariant.present ? &r.stats.pdr_invariant : nullptr);
+  rec->property = r.name;
   rec->kind = cert::cert_kind_name(art.certificate.kind);
   rec->ok = art.checked;
   rec->clauses = art.certificate.clauses.size();
@@ -752,6 +774,8 @@ CertificateArtifact certify_property(const Netlist& design, GateId bad,
   rec->seconds = art.seconds;
   return art;
 }
+
+}  // namespace
 
 bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
                 TraceSink* sink, bool stream_properties, ReuseCache* warm,
@@ -797,12 +821,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     for (const PropertyResult& r : out->results) {
       if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails) continue;
       CertificateRecord rec;
-      CertificateArtifact art =
-          certify_property(design.netlist, r.bad, r.name, r.verdict, r.trace,
-                           r.stats.final_registers, &rec,
-                           r.stats.pdr_invariant.present
-                               ? &r.stats.pdr_invariant
-                               : nullptr);
+      CertificateArtifact art = certify_property(design.netlist, r, &rec);
       out->cert_records.push_back(std::move(rec));
       out->cert_artifacts.push_back(std::move(art));
     }

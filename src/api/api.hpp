@@ -16,7 +16,7 @@
 //                     point calling VerifyRequest::validate), resolve
 //                     properties, run the VerifySession, certify, and emit
 //                     rfn-trace-v2 records through a TraceSink (file sink =
-//                     the historical --trace-json bytes; callback sink =
+//                     the --trace-json file; callback sink =
 //                     the server's mid-run streaming).
 //   VerifyResponse  — the final verdict document (rfn-resp-v1): per-
 //                     property verdicts, verdict counts, certificate
@@ -26,6 +26,7 @@
 // strict: unknown keys are rejected, so a typo'd option fails the request
 // instead of silently running with defaults.
 
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,31 @@ struct PropertySpec {
 /// 2^64-1. The --props overrides and rfn_cli's count flags share it.
 size_t parse_count(const std::string& text);
 
+/// Parses a real ("time-limit=2.5", `--budget-ms 300`) in std::stod syntax.
+/// Throws std::invalid_argument on non-numeric or trailing text ("3x") and
+/// std::out_of_range on values a double cannot hold or non-finite ones
+/// ("inf", "nan"), where std::stod alone would stop at the first bad
+/// character. Every real-valued flag and override goes through it.
+double parse_real(const std::string& text);
+
+/// Parses a base-10 int64 ("budget-mem-mb=512"). Throws like parse_real on
+/// non-numeric, fractional or trailing text and on values outside int64.
+int64_t parse_int64(const std::string& text);
+
+/// Runs one of the parsers above on a flag's text: true with `*out` set, or
+/// false with `*out` untouched on text the parser rejects. rfn_cli's and
+/// rfn_serve's numeric flags all go through it; each prints its own usage
+/// message naming the flag.
+template <typename T, typename Parse>
+bool parse_flag(const std::string& text, Parse parse, T* out) {
+  try {
+    *out = parse(text);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 /// Applies one key=value override ("name" included). False with a message
 /// on unknown keys; the same spellings everywhere.
 bool apply_override(const std::string& key, const std::string& value,
@@ -89,7 +115,7 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///    "options":{"time-limit":..,"max-iterations":..,"traces":..,
 ///               "engines":["bdd",..],"approx-fallback":..,
 ///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
-///    "session":{"workers":..,"batch-budget-ms":..,"reuse":..,"batch":..},
+///    "session":{"workers":..,"batch-budget-ms":..,"reuse":..},
 ///    "certify":..,"inline-certificates":..}
 ///
 /// Every field except "type"/"version"/"design" is optional and defaults as
@@ -112,8 +138,6 @@ struct VerifyRequest {
   size_t session_workers = 0;
   double batch_budget_ms = -1.0;
   bool reuse = true;
-  /// Forces the session path (and rfn-trace-v2) even for one property.
-  bool batch = false;
   /// Certify every conclusive verdict through the independent SAT checker.
   bool certify = false;
   /// Ship each built rfn-cert-v1 document inline in the response.
@@ -206,28 +230,6 @@ struct VerifyResponse {
                                const std::string& detail);
 };
 
-/// Resolves the request's property selection against the loaded design:
-/// explicit specs first, else the design's AIGER property list, else the
-/// conventional "bad" signal. False with a one-line error (prefixed by the
-/// spec's origin, when set) on unknown signals.
-bool resolve_properties(const Netlist& n,
-                        const std::vector<aiger::AigerProperty>& aiger_props,
-                        const std::vector<PropertySpec>& specs,
-                        std::vector<PropertyRequest>* out, std::string* error);
-
-/// Builds + checks the witness for one concluded property and flattens the
-/// outcome into the rfn-trace-v2 certificate record (no file I/O — callers
-/// owning a --cert-dir write the artifact themselves). When the run's PDR
-/// engine concluded Holds, pass its invariant (RfnResult::pdr_invariant) so
-/// the witness comes from the inductive frame instead of a recomputed BDD
-/// fixpoint — the frame's register scope may not support one.
-CertificateArtifact certify_property(const Netlist& design, GateId bad,
-                                     const std::string& name, Verdict verdict,
-                                     const Trace& trace,
-                                     const std::vector<GateId>& final_registers,
-                                     CertificateRecord* rec,
-                                     const PdrInvariantWitness* pdr_invariant = nullptr);
-
 /// Everything run_verify produced, for callers that post-process beyond the
 /// response (the CLI's table, witness export, cert-dir writing).
 struct RunOutput {
@@ -246,8 +248,7 @@ struct RunOutput {
 /// certify → emit rfn-trace-v2 through `sink` (null skips emission).
 ///
 /// `stream_properties` false (the CLI) emits property records post-run in
-/// request order — byte-identical to the historical write_batch_trace_json
-/// file. True (the server) emits each property record as its verdict lands
+/// request order. True (the server) emits each property record as its verdict lands
 /// (completion order), then certificates and the batch summary post-run.
 ///
 /// `warm` (optional) is the server's per-design warm cache entry, passed to

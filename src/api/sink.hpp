@@ -35,7 +35,7 @@ class TraceSink {
   virtual void record(const json::Value& rec) = 0;
 };
 
-/// JSON Lines to a stream: exactly the historical --trace-json byte format.
+/// JSON Lines to a stream: the --trace-json file format.
 class StreamTraceSink : public TraceSink {
  public:
   explicit StreamTraceSink(std::ostream& os) : os_(os) {}

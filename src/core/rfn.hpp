@@ -25,7 +25,6 @@
 #include "mc/reach.hpp"
 #include "netlist/netlist.hpp"
 #include "util/cancel.hpp"
-#include "util/metrics.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rfn {
@@ -193,12 +192,6 @@ struct RfnResult {
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts
   BudgetTrip budget_trip;
-  /// Metrics isolation for this run: the registry snapshot taken at
-  /// run_property() entry and the epoch id. Serializing the registry against
-  /// the baseline (to_json(&metrics_baseline)) yields only this run's work
-  /// even when several runs share the process.
-  MetricsSnapshot metrics_baseline;
-  uint64_t metrics_epoch = 0;
   /// Set when a PDR run concluded the verdict Holds: the inductive frame
   /// certification should turn into the witness (see PdrInvariantWitness).
   PdrInvariantWitness pdr_invariant;

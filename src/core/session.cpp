@@ -328,11 +328,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   const std::vector<std::string> errors = opt.validate();
   RFN_CHECK(errors.empty(), "invalid options: %s", join_errors(errors).c_str());
   RfnResult result;
-  // Per-run metrics isolation: everything this run records is reported
-  // relative to this baseline (trace_json serializes against it).
-  const MetricsEpoch epoch;
-  result.metrics_epoch = epoch.id();
-  result.metrics_baseline = epoch.baseline();
   Span run_span("rfn.run");
   const Deadline deadline(opt.time_limit_s);
   // CPU attribution: every engine race runs on this thread, so its CPU over

@@ -66,7 +66,7 @@ struct PropertyRequest {
              budget_ms || budget_bdd_nodes || budget_mem_mb;
     }
     /// `base` with every set field replaced: the one override merge, used
-    /// by VerifySession, the CLI's single-run path and request validation.
+    /// by VerifySession and request validation.
     RfnOptions apply(RfnOptions base) const;
   } overrides;
 };

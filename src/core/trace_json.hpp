@@ -1,14 +1,33 @@
 #pragma once
-// JSON event trace for the CEGAR loop.
+// JSON event trace for a verification run (schema "rfn-trace-v2").
 //
-// The sink renders one self-contained JSON object per CEGAR iteration plus
-// one final summary object, written as JSON Lines (one object per line) so
-// a consumer can stream a long run without a closing bracket ever arriving.
-// rfn_cli exposes it as `--trace-json FILE`; the benches emit the same
-// iteration schema inside their run records, which is what lets the CI
-// regression gate read both with one parser.
+// Every `rfn verify` is a session, so every trace is a batch: one
+// "property" record per property — carrying that property's CEGAR
+// iterations under "per_iteration" — then, for --certify runs, one
+// "certificate" record per conclusive property, then one "batch-summary".
+// Records are written as JSON Lines (one object per line) so a consumer can
+// stream a long run without a closing bracket ever arriving. rfn_cli writes
+// them to `--trace-json FILE`; rfn_serve streams the same records over its
+// socket.
 //
-// Schema (trace version "rfn-trace-v1"):
+//   {"type":"property","name":"..","bad":..,
+//    "verdict":"T|F|?|resource-out",
+//    "order_seeded":..,"seeded_registers":..,
+//    "iterations":..,"final_abstract_regs":..,"error_trace_cycles":..,
+//    "seconds":..,"cpu_ms":..,"note":"..",
+//    ["budget_trip":{"reason":"wall-budget|bdd-node-budget|mem-budget",
+//                    "at_seconds":..,"bdd_nodes":..,"rss_bytes":..},]
+//                                                       // watchdog trips only
+//    "per_iteration":[<iteration>...]}                  // "iterations" entries
+//   {"type":"certificate",...}                          // see CertificateRecord
+//   {"type":"batch-summary","trace_version":"rfn-trace-v2",
+//    "properties":..,
+//    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
+//    ["certificates":{"ok":..,"failed":..},]            // --certify only
+//    "seconds":..,
+//    "metrics":{<MetricsRegistry::to_json(batch baseline)>}}
+//
+// One <iteration> entry per CEGAR iteration, numbered from 0:
 //   {"type":"iteration","iter":k,
 //    "abstraction":{"regs":..,"inputs":..,"gates":..},
 //    "reach":{"status":"proved|bad-reachable|resource-out","steps":..,
@@ -19,64 +38,36 @@
 //              "atpg_rejects":..},
 //    "trace_cycles":..,
 //    "concretize":{"status":"sat|unsat|abort"},
+//    "sat":{"conflicts":..,"propagations":..,"depth":..,"core_size":..},
+//    "pdr":{"obligations":..,"clauses":..,"frames":..},
 //    "refine":{"conflict_candidates":..,"fallback_candidates":..,
-//              "added_until_unsat":..,"removed_by_greedy":..,
-//              "final_count":..,"atpg_calls":..,"trace_invalidated":..},
+//              "hint_candidates":..,"added_until_unsat":..,
+//              "removed_by_greedy":..,"final_count":..,"atpg_calls":..,
+//              "trace_invalidated":..,"shrunk_registers":..},
 //    "engines":{"abstract":{"winner":"..","seconds":..,"cpu_seconds":..},
 //               "concretize":{"winner":"..","seconds":..,"cpu_seconds":..}},
 //    "seconds":..}
-//   {"type":"summary","trace_version":"rfn-trace-v1",
-//    "verdict":"T|F|?|resource-out",
-//    "iterations":..,"final_abstract_regs":..,"seconds":..,"cpu_seconds":..,
-//    "note":"..",
-//    ["budget_trip":{"reason":"wall-budget|bdd-node-budget|mem-budget",
-//                    "at_seconds":..,"bdd_nodes":..,"rss_bytes":..},]
-//                                                       // watchdog trips only
-//    "metrics_epoch":..,
-//    "metrics":{<MetricsRegistry::to_json(run baseline)>}}
 //
-// "metrics" is serialized relative to the snapshot taken when the run
-// started (RfnResult::metrics_baseline): counters and timer count/seconds
-// cover only this run, so two runs in one process do not conflate.
-//
-// Batch schema (trace version "rfn-trace-v2", written by the session path):
-//   {"type":"property","name":"..","bad":..,
-//    "verdict":"T|F|?|resource-out",
-//    "order_seeded":..,"seeded_registers":..,
-//    "iterations":..,"final_abstract_regs":..,"error_trace_cycles":..,
-//    "seconds":..,"cpu_ms":..,"note":"..",
-//    ["budget_trip":{...}]}                                // one per property
-//   {"type":"batch-summary","trace_version":"rfn-trace-v2",
-//    "properties":..,
-//    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
-//    "seconds":..,
-//    "metrics":{<MetricsRegistry::to_json(batch baseline)>}}
-//
-// v2 keeps per-iteration detail out of the property records (the single-run
-// schema above carries it). Every property is answered by its own run, so a
-// property's "iterations", "seconds" and "cpu_ms" are that run's.
+// Every property is answered by its own run, so a property's "iterations",
+// "seconds", "cpu_ms" and "per_iteration" are that run's. The summary's
+// "metrics" is serialized relative to the snapshot taken when the batch
+// started (api::RunOutput::baseline), so two runs in one process do not
+// conflate.
 
-#include <ostream>
 #include <vector>
 
 #include "core/rfn.hpp"
 #include "core/session.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace rfn {
 
 /// One CEGAR iteration as a JSON object (`"type":"iteration"`).
 json::Value iteration_json(size_t index, const RfnIteration& it);
 
-/// The run summary object (`"type":"summary"`), embedding the global
-/// metrics registry dump — relative to the run's baseline — under
-/// "metrics".
-json::Value summary_json(const RfnResult& res);
-
-/// Writes the whole run as JSON Lines: every iteration, then the summary.
-void write_trace_json(std::ostream& os, const RfnResult& res);
-
-/// One session property outcome as a JSON object (`"type":"property"`).
+/// One session property outcome as a JSON object (`"type":"property"`),
+/// its run's iterations included.
 json::Value property_json(const PropertyResult& r);
 
 /// One certification outcome per conclusive property, written by --certify
@@ -99,25 +90,11 @@ json::Value certificate_json(const CertificateRecord& r);
 
 /// The batch-summary record (`"type":"batch-summary"`): verdict counts over
 /// `results`, certificate ok/failed counts when `certificates` is non-null,
-/// and the metrics dump against `baseline`. This is the record
-/// write_batch_trace_json ends with; exposed so a streaming emitter
-/// (api::run_verify, rfn_serve) produces the identical bytes.
+/// and the metrics dump against `baseline`. api::run_verify ends every
+/// trace with it.
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
                                double seconds,
                                const MetricsSnapshot* baseline = nullptr,
                                const std::vector<CertificateRecord>* certificates = nullptr);
-
-/// Writes a session batch as JSON Lines (rfn-trace-v2): one property record
-/// per result, then one certificate record per entry of `certificates`
-/// (when non-null; --certify batches pass the per-property certification
-/// outcomes), then the batch summary — which gains a "certificates"
-/// {"ok":..,"failed":..} object when records were written. `seconds` is the
-/// batch wall time; `baseline` (optional) scopes the embedded metrics dump
-/// to the batch.
-void write_batch_trace_json(std::ostream& os,
-                            const std::vector<PropertyResult>& results,
-                            double seconds,
-                            const MetricsSnapshot* baseline = nullptr,
-                            const std::vector<CertificateRecord>* certificates = nullptr);
 
 }  // namespace rfn

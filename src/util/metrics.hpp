@@ -156,18 +156,11 @@ class MetricsRegistry {
   /// "seconds": s, "max_seconds": m}}}. Keys are sorted (std::map), so the
   /// document is stable for golden tests and the bench gate.
   ///
-  /// With a non-null `baseline` (a snapshot taken at a run's start, see
-  /// MetricsEpoch) counters and timer count/seconds are reported relative
+  /// With a non-null `baseline` (a snapshot taken at a run's start)
+  /// counters and timer count/seconds are reported relative
   /// to it, so two runs in one process each serialize only their own work.
   /// Gauge levels and maxima are not differences and stay raw.
   json::Value to_json(const MetricsSnapshot* baseline = nullptr) const;
-
-  /// Monotonically increasing epoch id, bumped by each MetricsEpoch. Lets
-  /// consumers detect that two summaries came from different runs.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  uint64_t begin_epoch() {
-    return epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 
   /// Zeroes every registered metric without invalidating references.
   /// For per-run isolation in tests and benches.
@@ -175,7 +168,6 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::atomic<uint64_t> epoch_{0};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers_;
@@ -197,26 +189,6 @@ class MetricsScope {
 
  private:
   MetricsRegistry* prev_;
-};
-
-/// Per-run isolation guard for a shared registry. Resetting the registry
-/// between runs would break callers that hold snapshot/delta pairs across a
-/// run (portfolio tests) or accumulate across bench repetitions, so an
-/// epoch instead captures a baseline snapshot at run start; serializing the
-/// run's summary through to_json(&epoch.baseline()) subtracts everything
-/// recorded before this run began. Two run_rfn calls in one process thus
-/// get disjoint summaries without either seeing a zeroed registry.
-class MetricsEpoch {
- public:
-  explicit MetricsEpoch(MetricsRegistry& reg = MetricsRegistry::global())
-      : id_(reg.begin_epoch()), baseline_(reg.snapshot()) {}
-
-  uint64_t id() const { return id_; }
-  const MetricsSnapshot& baseline() const { return baseline_; }
-
- private:
-  uint64_t id_;
-  MetricsSnapshot baseline_;
 };
 
 /// RAII scoped timer: records the elapsed wall time into a Timer when it

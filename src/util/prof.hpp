@@ -86,7 +86,7 @@ class RssLog {
 };
 
 /// Assembles the rfn-prof-v1 document from a run's baseline-relative
-/// metrics. `baseline`/`now` bracket the run (MetricsEpoch discipline);
+/// metrics. `baseline`/`now` are registry snapshots bracketing the run;
 /// `wall_s` is the run's wall time, `cpu_s` the process-CPU delta over the
 /// same interval. Engine rows come
 /// from the `engine.cpu.<name>` timers, subsystem peaks from the

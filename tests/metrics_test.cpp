@@ -165,19 +165,6 @@ TEST(Metrics, BaselineRelativeJson) {
             0u);
 }
 
-TEST(Metrics, EpochGuardSnapshotsAndIncrements) {
-  MetricsRegistry reg;
-  reg.counter("work").add(7);
-  const uint64_t before = reg.epoch();
-  const MetricsEpoch epoch(reg);
-  EXPECT_EQ(epoch.id(), before + 1);
-  EXPECT_EQ(reg.epoch(), before + 1);
-  EXPECT_EQ(epoch.baseline().value("work"), 7.0);
-  // Distinct guards get distinct ids — two runs can never share an epoch.
-  const MetricsEpoch other(reg);
-  EXPECT_NE(other.id(), epoch.id());
-}
-
 TEST(Json, LargeCountersKeepExactIntegerForm) {
   // Counters are doubles in the document model; integers below 2^53 must
   // print without exponent or fraction so golden diffs stay byte-stable.
@@ -195,8 +182,9 @@ TEST(Json, ParserRejectsTrailingGarbage) {
 
 #ifdef RFN_CLI_PATH
 // Golden-schema check: run the real CLI on the committed demo design and
-// validate the --trace-json document shape (one iteration object per CEGAR
-// iteration plus a final summary carrying the registry dump).
+// validate the --trace-json document shape (one property record carrying
+// one iteration object per CEGAR iteration, then the batch summary carrying
+// the registry dump).
 TEST(TraceJson, CliGoldenSchema) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string out = ::testing::TempDir() + "/trace.jsonl";
@@ -214,37 +202,43 @@ TEST(TraceJson, CliGoldenSchema) {
     lines.push_back(json::parse(line, &err));
     ASSERT_TRUE(err.empty()) << err << " in: " << line;
   }
-  ASSERT_GE(lines.size(), 2u);  // at least one iteration + the summary
+  ASSERT_EQ(lines.size(), 2u);  // the property record + the batch summary
 
-  for (size_t i = 0; i + 1 < lines.size(); ++i) {
-    const json::Value& it = lines[i];
-    ASSERT_EQ(it.find("type")->as_string(), "iteration") << "line " << i;
+  const json::Value& prop = lines[0];
+  ASSERT_EQ(prop.find("type")->as_string(), "property");
+  EXPECT_EQ(prop.find("name")->as_string(), "bad_q");
+  EXPECT_EQ(prop.find("verdict")->as_string(), "T");  // demo.v holds
+  const std::vector<json::Value>& iters = prop.find("per_iteration")->items();
+  ASSERT_GE(iters.size(), 1u);
+  EXPECT_EQ(prop.find("iterations")->as_uint(), iters.size());
+  for (size_t i = 0; i < iters.size(); ++i) {
+    const json::Value& it = iters[i];
+    ASSERT_EQ(it.find("type")->as_string(), "iteration") << "entry " << i;
     EXPECT_EQ(it.find("iter")->as_uint(), i);
     for (const char* key : {"abstraction", "reach", "bdd", "hybrid",
-                            "concretize", "sat", "refine", "engines"})
-      ASSERT_NE(it.find(key), nullptr) << key << " missing at line " << i;
+                            "concretize", "sat", "pdr", "refine", "engines"})
+      ASSERT_NE(it.find(key), nullptr) << key << " missing at entry " << i;
     EXPECT_GE(it.find_path("abstraction.regs")->as_uint(), 1u);
     EXPECT_GT(it.find_path("bdd.peak_nodes")->as_uint(), 0u);
     for (const char* key : {"sat.conflicts", "sat.depth", "sat.core_size",
                             "refine.hint_candidates"})
-      ASSERT_NE(it.find_path(key), nullptr) << key << " missing at line " << i;
+      ASSERT_NE(it.find_path(key), nullptr) << key << " missing at entry " << i;
     ASSERT_NE(it.find_path("engines.abstract.winner"), nullptr);
     ASSERT_NE(it.find_path("engines.abstract.seconds"), nullptr);
     EXPECT_FALSE(it.find_path("reach.status")->as_string().empty());
   }
 
   const json::Value& summary = lines.back();
-  ASSERT_EQ(summary.find("type")->as_string(), "summary");
-  EXPECT_EQ(summary.find("trace_version")->as_string(), "rfn-trace-v1");
-  EXPECT_EQ(summary.find("verdict")->as_string(), "T");  // demo.v holds
-  EXPECT_EQ(summary.find("iterations")->as_uint(), lines.size() - 1);
+  ASSERT_EQ(summary.find("type")->as_string(), "batch-summary");
+  EXPECT_EQ(summary.find("trace_version")->as_string(), "rfn-trace-v2");
+  EXPECT_EQ(summary.find("properties")->as_uint(), 1u);
   const json::Value* metrics = summary.find("metrics");
   ASSERT_NE(metrics, nullptr);
   for (const char* key : {"counters", "gauges", "timers"})
     ASSERT_NE(metrics->find(key), nullptr) << key;
   // The run must have recorded CEGAR iterations and at least one race.
   EXPECT_EQ(metrics->find("counters")->find("rfn.iterations")->as_uint(),
-            lines.size() - 1);
+            iters.size());
   EXPECT_GE(metrics->find("counters")->find("portfolio.races")->as_uint(), 1u);
   std::remove(out.c_str());
 }

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -478,7 +479,6 @@ json::Value fifo_request(const std::string& id, const std::string& tenant) {
     spec.signal = sig;
     req.props.push_back(spec);
   }
-  req.batch = true;
   return req.to_json();
 }
 
@@ -677,7 +677,6 @@ TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
     spec.signal = sig;
     req.props.push_back(spec);
   }
-  req.batch = true;
   api::LoadedDesign design;
   std::string error;
   ASSERT_TRUE(api::load_design(req.design, &design, &error)) << error;
@@ -801,7 +800,22 @@ constexpr BadOverride kBadOverrides[] = {
     {"traces", "0", "traces_per_iteration"},
     {"max-iterations", "0", "max_iterations"},
     {"budget-bdd-nodes", "-7", "budget_bdd_nodes"},
+    // Reals and int64s parse strictly too: std::stod/std::stoll alone
+    // stopped at the first bad character and ran with "3" and "12".
+    {"time-limit", "3x", "'time-limit'"},
+    {"budget-ms", "inf", "'budget-ms'"},
+    {"budget-mem-mb", "12abc", "'budget-mem-mb'"},
+    {"budget-bdd-nodes", "2.5", "'budget-bdd-nodes'"},
+    {"budget-mem-mb", "1e30", "'budget-mem-mb'"},
 };
+
+/// An override value as rfn-req-v1 JSON: a number where the text is one,
+/// else a string ("3x" is not a JSON number).
+std::string json_value_text(const char* text) {
+  std::string err;
+  const json::Value v = json::parse(text, &err);
+  return err.empty() && v.is_number() ? text : "\"" + std::string(text) + "\"";
+}
 
 // Engine lists are checked before any engine runs: "sim" (the retired
 // random-simulation racer) is an unknown name, and a list without a Step-2
@@ -812,50 +826,46 @@ constexpr std::pair<const char*, const char*> kBadEngines[] = {
     {"atpg", "Step-2 engine (bdd, sat or pdr)"},
 };
 
-// Runs `cmd` and expects the usage exit 2 with `named` in its stderr. Every
-// command runs under a timeout (exit 124 means it hung). The stderr file is
-// per process: ctest runs the tests of this binary concurrently.
-void expect_usage_error(const std::string& cmd, const std::string& named) {
-  const std::string err = ::testing::TempDir() + "/usage-" +
-                          std::to_string(::getpid()) + ".err";
-  const int rc =
-      std::system(("timeout 60 " + cmd + " > /dev/null 2> " + err).c_str());
+// Runs `cmd` and expects exit `want` with every `named` text in its output:
+// stderr for the usage exit 2, stdout otherwise. Every command runs under a
+// timeout (exit 124 means it hung). The capture file is per process: ctest
+// runs the tests of this binary concurrently.
+void expect_exit(const std::string& cmd, int want,
+                 std::initializer_list<std::string> named) {
+  const std::string cap = ::testing::TempDir() + "/cli-" +
+                          std::to_string(::getpid()) + ".out";
+  const char* redirect = want == 2 ? " > /dev/null 2> " : " 2> /dev/null > ";
+  const int rc = std::system(("timeout 60 " + cmd + redirect + cap).c_str());
   ASSERT_TRUE(WIFEXITED(rc)) << cmd;
-  EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+  EXPECT_EQ(WEXITSTATUS(rc), want) << cmd;
   std::stringstream msg;
-  msg << std::ifstream(err).rdbuf();
-  EXPECT_NE(msg.str().find(named), std::string::npos) << cmd << ": " << msg.str();
-  std::remove(err.c_str());
+  msg << std::ifstream(cap).rdbuf();
+  for (const std::string& n : named)
+    EXPECT_NE(msg.str().find(n), std::string::npos) << cmd << ": " << msg.str();
+  std::remove(cap.c_str());
 }
 
 #ifdef RFN_CLI_PATH
 TEST(ServeEndToEnd, CliRejectsInvalidPropsOverrides) {
   const std::string props = ::testing::TempDir() + "/bad_overrides.props";
-  const std::string err = ::testing::TempDir() + "/bad_overrides.err";
   for (const BadOverride& c : kBadOverrides) {
-    // One property takes the single-run path, two the batch path.
+    // A one-property session and a two-property one.
     for (const char* rest : {"", "bad_af_q\n"}) {
       std::ofstream(props) << "bad_full_q name=watch " << c.key << "="
                            << c.text << "\n" << rest;
-      const std::string cmd = std::string(RFN_CLI_PATH) +
-                              " verify builtin:fifo --props " + props +
-                              " > /dev/null 2> " + err;
-      const int rc = std::system(cmd.c_str());
-      ASSERT_TRUE(WIFEXITED(rc)) << cmd;
-      EXPECT_EQ(WEXITSTATUS(rc), 2) << c.key << "=" << c.text;
-      std::stringstream msg;
-      msg << std::ifstream(err).rdbuf();
-      EXPECT_NE(msg.str().find("props line 1"), std::string::npos) << msg.str();
-      EXPECT_NE(msg.str().find(c.named), std::string::npos) << msg.str();
+      expect_exit(std::string(RFN_CLI_PATH) + " verify builtin:fifo --props " +
+                      props,
+                  2, {"props line 1", c.named});
     }
   }
   std::remove(props.c_str());
-  std::remove(err.c_str());
 }
 
-// Count flags parse like --props counts: negative or non-numeric text exits
-// 2 naming the flag. Unchecked, --traces=-1 wrapped to 2^64-1 and hung the
-// run, and `--traces -1` parsed as `--traces 1`.
+// Numeric flags parse like --props values: negative counts, non-numeric or
+// trailing text, non-finite reals and out-of-range integers exit 2 naming
+// the flag. Unchecked, --traces=-1 wrapped to 2^64-1 and hung the run,
+// `--traces -1` parsed as `--traces 1`, and `--time-limit abc` ran with a
+// zero time limit.
 TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
   const std::string hw_plus_one = std::to_string(
       std::max(1u, std::thread::hardware_concurrency()) + 1);
@@ -867,27 +877,57 @@ TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
       {"--pdr-max-frames=7x", "--pdr-max-frames"},
       {"--session-workers=-1", "--session-workers"},
       {"--session-workers=" + hw_plus_one, "session.workers"},
+      {"--time-limit abc", "--time-limit"},
+      {"--time-limit=3x", "--time-limit"},
+      {"--budget-ms=inf", "--budget-ms"},
+      {"--pdr-time=nan", "--pdr-time"},
+      {"--batch-budget-ms=1e400", "--batch-budget-ms"},
+      {"--budget-bdd-nodes=2.5", "--budget-bdd-nodes"},
+      {"--budget-mem-mb=12abc", "--budget-mem-mb"},
+      {"--budget-mem-mb=1e30", "--budget-mem-mb"},
+      // Retired flags name their replacement.
       {"--workers=2", "--workers is gone"},
+      {"--batch", "--batch is gone: every run is a session"},
+      {"--cert-out=x.json", "--cert-out is gone: use --cert-dir"},
+      {"--aiger-witness=x.wit", "--aiger-witness is gone: use --witness-dir"},
   };
   for (const auto& [flag, named] : cases)
-    expect_usage_error(std::string(RFN_CLI_PATH) +
-                           " verify builtin:fifo --bad bad_full_q " + flag,
-                       named);
+    expect_exit(
+        std::string(RFN_CLI_PATH) + " verify builtin:fifo --bad bad_full_q " +
+            flag,
+        2, {named});
 }
 
 TEST(ServeEndToEnd, CliRejectsInvalidEngineLists) {
-  for (const auto& [engines, named] : kBadEngines)
-    expect_usage_error(std::string(RFN_CLI_PATH) +
-                           " verify builtin:fifo --bad bad_full_q --engine " +
-                           engines,
-                       named);
+  // Invalid options fail before --trace-json creates its file.
+  const std::string trace = ::testing::TempDir() + "/bad-engines-" +
+                            std::to_string(::getpid()) + ".jsonl";
+  for (const auto& [engines, named] : kBadEngines) {
+    expect_exit(std::string(RFN_CLI_PATH) +
+                    " verify builtin:fifo --bad bad_full_q --engine " +
+                    engines + " --trace-json " + trace,
+                2, {named});
+    EXPECT_FALSE(std::ifstream(trace).good()) << "--engine " << engines;
+    std::remove(trace.c_str());
+  }
+}
+
+// `rfn verify` bounds every property by 300 s of wall time unless
+// --time-limit says otherwise (a negative limit means none); the report
+// header names the limit that applied.
+TEST(ServeEndToEnd, CliDefaultTimeLimitIs300s) {
+  const std::string cmd =
+      std::string(RFN_CLI_PATH) + " verify builtin:fifo --bad bad_full_q";
+  expect_exit(cmd, 0, {"time limit 300 s per property"});
+  expect_exit(cmd + " --time-limit 5", 0, {"time limit 5 s per property"});
+  expect_exit(cmd + " --time-limit=-1", 0, {"no time limit"});
 }
 #endif  // RFN_CLI_PATH
 
 #ifdef RFN_SERVE_PATH
-// rfn_serve's count flags parse strictly and --workers is capped at the
-// hardware thread count. Unchecked, `--workers -1` was undefined behaviour
-// and `--workers 1e6` started a million threads, so every value here must
+// rfn_serve's numeric flags parse strictly and --workers is capped at the
+// hardware thread count. Unchecked, `--workers -1` and `--admit-mem-mb 1e30`
+// were undefined behaviour and `--workers 1e6` started a million threads, so every value here must
 // be rejected before the server exists: an accepted one would listen on the
 // socket until the timeout.
 TEST(ServeEndToEnd, ServeRejectsInvalidCountFlags) {
@@ -897,11 +937,12 @@ TEST(ServeEndToEnd, ServeRejectsInvalidCountFlags) {
       "--workers " + std::to_string(
                          std::max(1u, std::thread::hardware_concurrency()) + 1),
       "--queue-cap -1", "--port x", "--port 65536",
+      "--admit-mem-mb 1e30", "--admit-mem-mb 2.5", "--admit-bdd-nodes 1e30",
+      "--admit-ms abc", "--default-demand-ms inf",
   };
   for (const std::string& flag : cases)
-    expect_usage_error(std::string(RFN_SERVE_PATH) + " --socket " + sock +
-                           " " + flag,
-                       flag.substr(0, flag.find(' ')));
+    expect_exit(std::string(RFN_SERVE_PATH) + " --socket " + sock + " " + flag,
+                2, {flag.substr(0, flag.find(' '))});
   std::remove(sock.c_str());
 }
 #endif  // RFN_SERVE_PATH
@@ -919,7 +960,7 @@ TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
         std::string(R"({"type":"verify","version":"rfn-req-v1",)"
                     R"("design":{"path":"builtin:fifo"},)"
                     R"("props":[{"signal":"bad_full_q","overrides":{")") +
-        c.key + "\":" + c.text + "}}]}"));
+        c.key + "\":" + json_value_text(c.text) + "}}]}"));
     ASSERT_NE(resp.find("ok"), nullptr) << resp.dump();
     EXPECT_FALSE(resp.find("ok")->as_bool()) << c.key << "=" << c.text;
     EXPECT_EQ(resp.find("reject_reason")->as_string(), "bad-request");
@@ -940,6 +981,21 @@ TEST(ServeEndToEnd, ServerRejectsInvalidRequestOverrides) {
   EXPECT_NE(resp.find("error")->as_string().find("session.workers"),
             std::string::npos)
       << resp.dump();
+  // Whole-request int64 options: a double past INT64_MAX or a fraction is
+  // a bad request, not a cast.
+  for (const char* value : {"1e30", "2.5"}) {
+    const json::Value r = client.transact(json::parse(
+        std::string(R"({"type":"verify","version":"rfn-req-v1",)"
+                    R"("design":{"path":"builtin:fifo"},)"
+                    R"("options":{"budget-mem-mb":)") +
+        value + "}}"));
+    ASSERT_NE(r.find("ok"), nullptr) << r.dump();
+    EXPECT_FALSE(r.find("ok")->as_bool()) << value;
+    EXPECT_EQ(r.find("reject_reason")->as_string(), "bad-request");
+    EXPECT_NE(r.find("error")->as_string().find("options.budget-mem-mb"),
+              std::string::npos)
+        << r.dump();
+  }
   for (const auto& [engines, named] : kBadEngines) {
     const json::Value r = client.transact(json::parse(
         std::string(R"({"type":"verify","version":"rfn-req-v1",)"

@@ -8,10 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
+#include "api/api.hpp"
 #include "core/status.hpp"
-#include "core/trace_json.hpp"
 #include "designs/fifo.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
@@ -54,7 +54,7 @@ TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
 }
 
 TEST(StatusStrings, CanonicalSpellings) {
-  // These strings are part of the rfn-trace-v1/v2 schemas — changing them
+  // These strings are part of the rfn-trace-v2 schema — changing them
   // breaks every consumer (trace_report.py, bench_gate.py, the CI gate).
   EXPECT_STREQ(to_string(Verdict::Holds), "T");
   EXPECT_STREQ(to_string(Verdict::Fails), "F");
@@ -210,22 +210,37 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
 }
 
 TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
-  const Counter c = make_counter();
-  VerifySession session(c.n, {});
-  const auto results = session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
+  api::LoadedDesign design;
+  design.netlist = make_counter().n;
+  api::VerifyRequest req;
+  for (const char* signal : {"bad_a", "bad_b"}) {
+    api::PropertySpec spec;
+    spec.signal = signal;
+    req.props.push_back(spec);
+  }
+  api::CollectTraceSink sink;
+  api::RunOutput out;
+  std::string error;
+  ASSERT_TRUE(api::run_verify(design, req, &sink, false, nullptr, &out, &error))
+      << error;
 
-  std::ostringstream os;
-  write_batch_trace_json(os, results, 0.25);
-  std::vector<std::string> lines;
-  std::istringstream is(os.str());
-  for (std::string line; std::getline(is, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), results.size() + 1);  // N properties + summary
-  EXPECT_NE(lines[0].find("\"type\":\"property\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"name\":\"bad_a\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"verdict\":\"F\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"verdict\":\"T\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"type\":\"batch-summary\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"trace_version\":\"rfn-trace-v2\""), std::string::npos);
+  const std::vector<json::Value>& records = sink.records();
+  ASSERT_EQ(records.size(), out.results.size() + 1);  // N properties + summary
+  EXPECT_EQ(records[0].find("type")->as_string(), "property");
+  EXPECT_EQ(records[0].find("name")->as_string(), "bad_a");
+  EXPECT_EQ(records[0].find("verdict")->as_string(), "F");
+  EXPECT_EQ(records[1].find("verdict")->as_string(), "T");
+  // Each property record carries its run's iterations, numbered from 0.
+  for (size_t p = 0; p < 2; ++p) {
+    const json::Value* iters = records[p].find("per_iteration");
+    ASSERT_NE(iters, nullptr);
+    ASSERT_EQ(iters->items().size(), records[p].find("iterations")->as_uint());
+    ASSERT_FALSE(iters->items().empty());
+    for (size_t k = 0; k < iters->items().size(); ++k)
+      EXPECT_EQ(iters->items()[k].find("iter")->as_uint(), k);
+  }
+  EXPECT_EQ(records[2].find("type")->as_string(), "batch-summary");
+  EXPECT_EQ(records[2].find("trace_version")->as_string(), "rfn-trace-v2");
 }
 
 TEST(VerifySessionTest, InvalidDefaultsDie) {

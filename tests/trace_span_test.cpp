@@ -1,8 +1,8 @@
 // Span tracer + resource watchdog tests: ring-buffer balance under
 // overflow, watchdog budget trips (wall and
 // BDD-node), end-to-end resource-out degradation of the verifier, the
-// write_trace_json edge cases, metrics-epoch run isolation, and a
-// golden-schema check of the CLI's --trace-spans Chrome trace export
+// property_json edge cases, per-run metrics isolation through api::run_verify,
+// and a golden-schema check of the CLI's --trace-spans Chrome trace export
 // (cross-validated with tools/trace_report.py when python3 is available).
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/api.hpp"
 #include "core/session.hpp"
 #include "core/trace_json.hpp"
 #include "netlist/builder.hpp"
@@ -225,6 +226,16 @@ Netlist holds_netlist() {
   return b.take();
 }
 
+/// A run's rfn-trace-v2 property record, as api::run_verify emits it.
+json::Value property_record(const RfnResult& res) {
+  PropertyResult r;
+  r.name = "bad";
+  r.verdict = res.verdict;
+  r.trace = res.error_trace;
+  r.stats = res;
+  return property_json(r);
+}
+
 TEST(ResourceOut, WallBudgetDegradesRun) {
   const Netlist n = slow_counter_netlist();
   RfnOptions opt;
@@ -238,11 +249,11 @@ TEST(ResourceOut, WallBudgetDegradesRun) {
   // engine polls at step boundaries.
   EXPECT_LT(res.seconds, 30.0);
 
-  // The summary carries the trip in the JSONL trace format.
-  const json::Value summary = summary_json(res);
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  ASSERT_NE(summary.find("budget_trip"), nullptr);
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
+  // The property record carries the trip in the JSONL trace format.
+  const json::Value record = property_record(res);
+  EXPECT_EQ(record.find("verdict")->as_string(), "resource-out");
+  ASSERT_NE(record.find("budget_trip"), nullptr);
+  EXPECT_EQ(record.find_path("budget_trip.reason")->as_string(),
             "wall-budget");
 }
 
@@ -286,23 +297,16 @@ TEST(ResourceOut, VerdictBeforeTripIsKept) {
 TEST(TraceJsonEdge, ZeroIterationRunWritesSummaryOnly) {
   RfnResult res;  // default: Unknown, no iterations
   res.note = "never ran";
-  std::ostringstream os;
-  write_trace_json(os, res);
-  std::istringstream in(os.str());
-  std::vector<json::Value> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::string err;
-    lines.push_back(json::parse(line, &err));
-    ASSERT_TRUE(err.empty()) << err;
-  }
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].find("type")->as_string(), "summary");
-  EXPECT_EQ(lines[0].find("verdict")->as_string(), "?");
-  EXPECT_EQ(lines[0].find("iterations")->as_uint(), 0u);
-  EXPECT_EQ(lines[0].find("budget_trip"), nullptr);
-  ASSERT_NE(lines[0].find("metrics"), nullptr);
+  std::string err;
+  const json::Value record = json::parse(property_record(res).dump(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(record.find("type")->as_string(), "property");
+  EXPECT_EQ(record.find("verdict")->as_string(), "?");
+  EXPECT_EQ(record.find("iterations")->as_uint(), 0u);
+  EXPECT_EQ(record.find("note")->as_string(), "never ran");
+  EXPECT_EQ(record.find("budget_trip"), nullptr);
+  ASSERT_NE(record.find("per_iteration"), nullptr);
+  EXPECT_TRUE(record.find("per_iteration")->items().empty());
 }
 
 TEST(TraceJsonEdge, ResourceOutSummarySchema) {
@@ -313,18 +317,18 @@ TEST(TraceJsonEdge, ResourceOutSummarySchema) {
   res.budget_trip.reason = "bdd-node-budget";
   res.budget_trip.at_seconds = 1.25;
   res.budget_trip.bdd_nodes = 123456;
-  const json::Value summary = summary_json(res);
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
+  const json::Value record = property_record(res);
+  EXPECT_EQ(record.find("verdict")->as_string(), "resource-out");
+  EXPECT_EQ(record.find_path("budget_trip.reason")->as_string(),
             "bdd-node-budget");
-  EXPECT_EQ(summary.find_path("budget_trip.bdd_nodes")->as_uint(), 123456u);
-  EXPECT_NEAR(summary.find_path("budget_trip.at_seconds")->as_double(), 1.25,
+  EXPECT_EQ(record.find_path("budget_trip.bdd_nodes")->as_uint(), 123456u);
+  EXPECT_NEAR(record.find_path("budget_trip.at_seconds")->as_double(), 1.25,
               1e-9);
   // Round-trips through the parser.
   std::string err;
-  const json::Value parsed = json::parse(summary.dump(), &err);
+  const json::Value parsed = json::parse(record.dump(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_TRUE(parsed == summary);
+  EXPECT_TRUE(parsed == record);
 }
 
 TEST(TraceJsonEdge, CacheHitRateZeroLookupsIsZero) {
@@ -340,42 +344,47 @@ TEST(TraceJsonEdge, CacheHitRateZeroLookupsIsZero) {
   EXPECT_TRUE(err.empty()) << err;
 }
 
-TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
-  const Netlist n = holds_netlist();
-  const auto run_once = [&] {
-    return run_property(n, n.output("bad"), RfnOptions{});
-  };
-  // Summaries are serialized at run end, like the CLI's --trace-json path:
-  // the baseline subtraction scopes out *earlier* runs in the process.
-  const RfnResult first = run_once();
-  const json::Value first_summary = summary_json(first);
-  const RfnResult second = run_once();
-  const json::Value second_summary = summary_json(second);
-  EXPECT_NE(first.metrics_epoch, second.metrics_epoch);
-
-  // Each summary reports exactly one run's work even though the registry
-  // accumulated both: rfn.runs is 1 in both, and each run's iteration
-  // counter matches its own per_iteration size, not the sum.
-  const struct {
-    const json::Value* summary;
-    const RfnResult* res;
-  } runs[] = {{&first_summary, &first}, {&second_summary, &second}};
-  for (const auto& [summary, res] : runs) {
-    const json::Value* counters = summary->find_path("metrics.counters");
+TEST(RunIsolation, TwoRunsDoNotConflateSummaries) {
+  api::LoadedDesign design;
+  design.netlist = holds_netlist();
+  api::VerifyRequest req;
+  api::PropertySpec spec;
+  spec.signal = "bad";
+  req.props.push_back(spec);
+  // Two runs in one process, like two requests to one server: each batch
+  // summary is serialized against its own run's baseline, which scopes out
+  // the earlier run.
+  for (int run = 0; run < 2; ++run) {
+    api::CollectTraceSink sink;
+    api::RunOutput out;
+    std::string error;
+    ASSERT_TRUE(api::run_verify(design, req, &sink, false, nullptr, &out,
+                                &error))
+        << error;
+    ASSERT_EQ(sink.records().size(), 2u);  // property + batch-summary
+    const json::Value& record = sink.records().front();
+    const json::Value& summary = sink.records().back();
+    ASSERT_EQ(summary.find("type")->as_string(), "batch-summary");
+    // Each summary reports exactly one run's work even though the registry
+    // accumulated both: rfn.runs is 1 in both, and the run's iteration
+    // counter matches its own per_iteration size, not the sum.
+    const json::Value* counters = summary.find_path("metrics.counters");
     ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->find("rfn.runs")->as_uint(), 1u)
-        << summary->find("metrics_epoch")->as_uint();
+    EXPECT_EQ(counters->find("rfn.runs")->as_uint(), 1u) << "run " << run;
     EXPECT_EQ(counters->find("rfn.iterations")->as_uint(),
-              res->per_iteration.size());
+              record.find("per_iteration")->items().size())
+        << "run " << run;
+    EXPECT_EQ(record.find("per_iteration")->items().size(),
+              out.results.front().stats.per_iteration.size());
   }
 
   // Without the baseline the registry conflates the runs — this is exactly
-  // what the epoch guard exists to prevent in the summary.
+  // what the baseline exists to prevent in the summary.
   const json::Value raw = MetricsRegistry::global().to_json();
   EXPECT_GE(raw.find_path("counters")->find("rfn.runs")->as_uint(), 2u);
 }
 
-TEST(MetricsEpoch, SpanCountsCrossCheckRegistry) {
+TEST(RunIsolation, SpanCountsCrossCheckRegistry) {
   // The tentpole's consistency requirement: spans and the metrics registry
   // must agree on engine activity. Every post_image call emits exactly one
   // "bdd.image" span begin and one mc.post_images increment.
@@ -421,7 +430,7 @@ json::Value parse_file(const std::string& path) {
 
 // Golden-schema check of the CLI's span export on the committed demo
 // design: Chrome-trace-format validity, race jobs on their race's thread,
-// and wall-time agreement between the rfn.run span, the run summary, and
+// and wall-time agreement between the rfn.run span, the property record, and
 // tools/trace_report.py.
 TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
@@ -448,7 +457,7 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   ASSERT_FALSE(job_tids.empty());
   for (const uint64_t tid : job_tids) EXPECT_EQ(race_tids.count(tid), 1u);
 
-  // The rfn.run span must reproduce the summary's wall time within 5%.
+  // The rfn.run span must reproduce the run's wall time within 5%.
   double run_begin = -1.0, run_end = -1.0;
   for (const json::Value& e : doc.find("traceEvents")->items()) {
     if (e.find("name")->as_string() != "rfn.run") continue;
@@ -462,14 +471,15 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const std::vector<std::string> trace_lines = read_lines(trace);
   ASSERT_FALSE(trace_lines.empty());
   std::string err;
-  const json::Value summary = json::parse(trace_lines.back(), &err);
+  const json::Value record = json::parse(trace_lines.front(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  const double summary_s = summary.find("seconds")->as_double();
-  ASSERT_GT(summary_s, 0.0);
+  ASSERT_EQ(record.find("type")->as_string(), "property");
+  const double run_s = record.find("seconds")->as_double();
+  ASSERT_GT(run_s, 0.0);
   // 5% relative plus a 2 ms absolute floor: demo.v runs in ~10 ms, where a
   // single scheduler hiccup between the span end and the Stopwatch read
   // would otherwise dominate the relative error.
-  EXPECT_NEAR(span_s, summary_s, summary_s * 0.05 + 0.002);
+  EXPECT_NEAR(span_s, run_s, run_s * 0.05 + 0.002);
 
 #ifdef RFN_TOOLS_DIR
   // trace_report.py must accept the file and reproduce the same total.
@@ -487,7 +497,7 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
       reported_s = std::atof(line.c_str() + std::string("total_wall_s=").size());
   }
   ASSERT_GT(reported_s, 0.0) << "total_wall_s line missing from report";
-  EXPECT_NEAR(reported_s, summary_s, summary_s * 0.05 + 0.002);
+  EXPECT_NEAR(reported_s, run_s, run_s * 0.05 + 0.002);
   std::remove(report.c_str());
 #endif  // RFN_TOOLS_DIR
   std::remove(spans.c_str());
@@ -515,10 +525,11 @@ TEST(TraceSpansCli, BudgetTripInBothTraceFormats) {
   const std::vector<std::string> trace_lines = read_lines(trace);
   ASSERT_FALSE(trace_lines.empty());
   std::string err;
-  const json::Value summary = json::parse(trace_lines.back(), &err);
+  const json::Value record = json::parse(trace_lines.front(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
+  ASSERT_EQ(record.find("type")->as_string(), "property");
+  EXPECT_EQ(record.find("verdict")->as_string(), "resource-out");
+  EXPECT_EQ(record.find_path("budget_trip.reason")->as_string(),
             "wall-budget");
   std::remove(spans.c_str());
   std::remove(trace.c_str());

@@ -6,10 +6,12 @@
 #                                 bench gate + corpus gate + gate self-checks
 #   tools/ci_dryrun.sh --full     the whole matrix and both sanitizers
 #   tools/ci_dryrun.sh --step NAME BUILD_DIR
-#                                 one sanitize-job step against an existing
-#                                 build (BUILD_DIR relative to the repo
-#                                 root): sat, pdr, certs, budget-out or
-#                                 mem-out. ci.yml's sanitize job calls these.
+#                                 one CI step against an existing build
+#                                 (BUILD_DIR relative to the repo root):
+#                                 the sanitize job's sat, pdr, certs,
+#                                 budget-out or mem-out, or the bench-gate
+#                                 job's run-traces or shipped. ci.yml calls
+#                                 these.
 #
 # Cells whose toolchain is absent locally (clang, ccache) are skipped with a
 # notice instead of failing: the hosted workflow installs them itself.
@@ -77,11 +79,51 @@ step_mem_out() { # plus one profiled run whose rfn-prof-v1 artifact is checked
   python3 tools/trace_report.py --prof "$1/tsan-prof.json"
 }
 
+# --- bench-gate-job steps (ci.yml calls them through --step) ---------------
+# Each takes the build directory and leaves its artifacts there.
+
+# Span + event traces of the committed demo design, recorded before the gate
+# so a failing gate still leaves a profile behind (CI uploads it).
+step_run_traces() {
+  "$1/tools/rfn" verify tests/data/demo.v --bad bad_q \
+    --trace-spans "$1/run-spans.json" --trace-json "$1/run-trace.jsonl"
+  python3 tools/trace_report.py "$1/run-spans.json"
+  python3 tools/trace_report.py --batch "$1/run-trace.jsonl"
+}
+
+# Every shipped design's property suite through one session each. Exit 0
+# requires every verdict conclusive (the processor suite contains
+# intentionally VIOLATED properties) and every one turned into an rfn-cert-v1
+# witness via --cert-dir, each re-checked by the independent rfn_check
+# binary. The rfn-trace-v2 and rfn-prof-v1 artifacts are re-validated by
+# trace_report.py, including the CPU bound (races run on one thread, so
+# engine CPU stays within race wall x slack).
+step_shipped() {
+  local spec design args cert
+  for spec in "fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q" \
+              "processor --bad bad_mutex --bad error_flag" \
+              "iu --bad bad_dec --bad iu0 --bad iu1 --bad iu2 --bad iu3 --bad iu4" \
+              "usb --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1"; do
+    read -r design args <<<"$spec"
+    # $args unquoted on purpose: it splits into the --bad flags.
+    "$1/tools/rfn" verify "builtin:$design" $args \
+      --trace-json "$1/batch-$design.jsonl" --cert-dir "$1/certs-$design" \
+      --prof-json "$1/prof-$design.json"
+    python3 tools/trace_report.py --batch "$1/batch-$design.jsonl"
+    python3 tools/trace_report.py --prof "$1/prof-$design.json"
+    for cert in "$1/certs-$design"/*.cert.json; do
+      "$1/tools/rfn_check" "$cert" "builtin:$design"
+    done
+  done
+}
+
 if [[ "${1:-}" == "--step" ]]; then
   case "${2:-}/$#" in
-    sat/3|pdr/3|certs/3|budget-out/3|mem-out/3) "step_${2//-/_}" "$3"; exit 0 ;;
+    sat/3|pdr/3|certs/3|budget-out/3|mem-out/3|run-traces/3|shipped/3)
+      "step_${2//-/_}" "$3"; exit 0 ;;
   esac
-  echo "usage: $0 --step sat|pdr|certs|budget-out|mem-out BUILD_DIR" >&2
+  echo "usage: $0 --step sat|pdr|certs|budget-out|mem-out|run-traces|shipped" \
+       "BUILD_DIR" >&2
   exit 2
 fi
 
@@ -171,46 +213,10 @@ cmake --build build-ci-bench -j "$(nproc)" --target micro_engines rfn_cli rfn_ch
 note "bench-gate: trace tooling self-check"
 python3 tools/trace_report.py --self-check
 
-# Traces are recorded before the gate, like the hosted job, so a failing
-# gate still leaves a profile behind (CI uploads it as an artifact).
 note "bench-gate: record run traces"
-./build-ci-bench/tools/rfn verify tests/data/demo.v --bad bad_q \
-  --trace-spans build-ci-bench/run-spans.json \
-  --trace-json build-ci-bench/run-trace.jsonl
-python3 tools/trace_report.py build-ci-bench/run-spans.json
-python3 tools/trace_report.py --run build-ci-bench/run-trace.jsonl
-
-# Batch verification of every shipped design's property suite through a
-# VerifySession, each rfn-trace-v2 artifact re-validated by trace_report.py.
-# Exit 0 requires every verdict conclusive (the processor suite contains
-# intentionally VIOLATED properties) and every conclusive verdict turned
-# into an rfn-cert-v1 witness via --cert-dir (trace for Fails, inductive
-# invariant for Holds); every witness is then re-validated by the
-# independent rfn_check binary against a fresh design elaboration.
-note "bench-gate: batch verification of the shipped designs"
-# Each design also emits an rfn-prof-v1 artifact; trace_report.py --prof
-# re-validates it, including the CPU-consistency bound (the races run on
-# one thread, so engine CPU stays within race wall x slack).
-run_batch() { # <out> <design> <property args...>
-  local out=$1 design=$2; shift 2
-  ./build-ci-bench/tools/rfn verify "builtin:$design" "$@" \
-    --trace-json "$out" --cert-dir "build-ci-bench/certs-$design" \
-    --prof-json "build-ci-bench/prof-$design.json"
-  python3 tools/trace_report.py --batch "$out"
-  python3 tools/trace_report.py --prof "build-ci-bench/prof-$design.json"
-  local cert
-  for cert in "build-ci-bench/certs-$design"/*.cert.json; do
-    ./build-ci-bench/tools/rfn_check "$cert" "builtin:$design"
-  done
-}
-run_batch build-ci-bench/batch-fifo.jsonl fifo \
-  --bad bad_full_q --bad bad_af_q --bad bad_hf_q
-run_batch build-ci-bench/batch-processor.jsonl processor \
-  --bad bad_mutex --bad error_flag
-run_batch build-ci-bench/batch-iu.jsonl iu \
-  --bad bad_dec --bad iu0 --bad iu1 --bad iu2 --bad iu3 --bad iu4
-run_batch build-ci-bench/batch-usb.jsonl usb \
-  --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1
+step_run_traces build-ci-bench
+note "bench-gate: verification of the shipped designs"
+step_shipped build-ci-bench
 
 ./build-ci-bench/bench/micro_engines --benchmark_filter='Portfolio|SatBmc' \
   --json build-ci-bench/bench-current.json

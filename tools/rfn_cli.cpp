@@ -10,10 +10,11 @@
 // builtin:fifo|processor|iu|usb for the shipped generated designs (small
 // parameterizations; CI's batch runs use these). For AIGER designs every
 // bad-state property (or output, pre-1.9 style) becomes a verification
-// obligation: with no --bad/--props the whole set runs as one batch
-// session, so fair-share budgets, the ReuseCache, and all engines apply
-// unchanged. Common options:
-//   --time-limit S     wall-clock budget (default 300)
+// obligation: with no --bad/--props the whole set runs in one session, so
+// fair-share budgets, the ReuseCache, and all engines apply unchanged.
+// Common options:
+//   --time-limit S     wall-clock budget per property (default 300;
+//                      negative = unlimited)
 //   --engine LIST      engines entering the races, comma-separated subset of
 //                      bdd,atpg,sat,pdr (repeatable; default: all four).
 //                      Unknown names, and lists without a Step-2 engine
@@ -25,24 +26,23 @@
 //                      (alternating grow/shrink; never changes a verdict)
 //   --pdr-max-frames N IC3/PDR frame bound per race (default 128)
 //   --pdr-time S       IC3/PDR wall budget per race (default 10, 0=unlimited)
-//   --certify          build an rfn-cert-v1 witness for the verdict (an
-//                      inductive invariant for HOLDS, the error trace for
-//                      VIOLATED; see src/cert/format.hpp) and discharge it
-//                      through the independent SAT checker — the same check
-//                      tools/rfn_check.cpp runs out of process. Batch runs
-//                      certify every HOLDS/VIOLATED member and add one
-//                      "certificate" record per member to the rfn-trace-v2
-//                      artifact
-//   --cert-out FILE    write the single-run witness JSON to FILE (implies
-//                      --certify)
-//   --cert-dir DIR     batch runs: write each member's witness to
+//   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED
+//                      verdict (an inductive invariant for HOLDS, the error
+//                      trace for VIOLATED; see src/cert/format.hpp),
+//                      discharge it through the independent SAT checker —
+//                      the same check tools/rfn_check.cpp runs out of
+//                      process — and add one "certificate" record per
+//                      property to the --trace-json artifact
+//   --cert-dir DIR     write each property's witness to
 //                      DIR/<property>.cert.json (implies --certify)
 //   --traces N         abstract traces per iteration (default 1)
 //   --no-approx        disable the overlapping-partition fallback
-//   --dump-trace       print the error trace on Fails
+//   --dump-trace       print the error trace of every VIOLATED property
 //   --top NAME         top module for multi-module Verilog
-//   --trace-json FILE  write the CEGAR event trace as JSON Lines (one object
-//                      per iteration plus a final summary; see
+//   --trace-json FILE  write the run's rfn-trace-v2 event trace as JSON
+//                      Lines: one "property" record per property, with its
+//                      CEGAR iterations under "per_iteration", then the
+//                      certificate records and a "batch-summary" (see
 //                      src/core/trace_json.hpp for the schema)
 //   --trace-spans FILE write a causal span trace in Chrome trace-event JSON
 //                      (open in Perfetto / chrome://tracing, or analyze with
@@ -63,41 +63,41 @@
 //                      tracing for the run even without --trace-spans)
 //   --metrics          dump the full metrics registry as JSON on stdout
 //
-// Batch verification (a VerifySession instead of one run_property): repeat
-// --bad, or point --props at a file with one property per line:
+// Every run is a VerifySession over the property set: repeat --bad, or
+// point --props at a file with one property per line:
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
 //          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
 // Every property runs solo, on an abstraction grown from its own fanin;
-// per-line overrides apply to that property's run only. With more than one property, --trace-json emits the rfn-trace-v2 batch
-// schema (one "property" record each + a "batch-summary"); with exactly one
-// it emits rfn-trace-v1 as before. Batch options:
+// per-line overrides apply to that property's run only. Numeric flags and
+// overrides parse strictly: negative counts, non-numeric or trailing text
+// and non-finite reals exit 2 naming the flag. Session options:
 //   --session-workers N   property jobs run concurrently (default 0: inline)
 //   --batch-budget-ms N   whole-batch wall budget, split fair-share
 //   --no-reuse            disable the cross-property reuse cache
-//   --batch               force the session path (and the rfn-trace-v2
-//                         artifact schema) even for a single property —
-//                         corpus harnesses rely on one parser for all runs
 //
 // AIGER-specific options:
 //   --aiger               treat <design> as AIGER regardless of extension
-//   --witness-dir DIR     batch runs: drop an AIGER-convention witness per
-//                         conclusive property into DIR/<property>.wit
+//   --witness-dir DIR     drop an AIGER-convention witness per conclusive
+//                         property into DIR/<property>.wit
 //                         ("1\nb<k>\n<state>\n<inputs per cycle>...\n." for
 //                         VIOLATED, "0\nb<k>\n." for HOLDS)
-//   --aiger-witness FILE  single runs: the same, to one file
+//
+// Retired flags (--batch, --cert-out, --aiger-witness, --workers) exit 2
+// naming their replacement.
 //
 // This binary is a thin flag → api::VerifyRequest translator: design
-// loading is api::load_design, the batch path is api::run_verify (the same
-// run path rfn_serve drives from the socket — a command line and an
-// rfn-req-v1 document are the same computation), and the single-run path is
-// one run_property call. What remains here is flag parsing, the stdout report,
-// and the file epilogues (span/prof artifacts, cert/witness exports).
+// loading is api::load_design and every verify is one api::run_verify call
+// (the run path rfn_serve drives from the socket — a command line and an
+// rfn-req-v1 document are the same computation). What remains here is flag
+// parsing, the stdout report, and the file epilogues (span/prof artifacts,
+// cert/witness exports).
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "aiger/aiger.hpp"
 #include "api/api.hpp"
@@ -132,10 +132,6 @@ std::string sanitize_file_stem(const std::string& property) {
   return out;
 }
 
-std::string cert_file_name(const std::string& property) {
-  return sanitize_file_stem(property) + ".cert.json";
-}
-
 /// AIGER witnesses name properties by index ("b<k>"): the index within the
 /// source file's bad list when the design came from AIGER, else the
 /// property's position in the run.
@@ -153,33 +149,8 @@ bool write_text_file(const std::string& path, const std::string& body) {
   return static_cast<bool>(out);
 }
 
-/// --prof-json epilogue: appends one final direct RSS sample (so the
-/// timeline is never empty for runs shorter than a watchdog poll), stops the
-/// log, assembles the rfn-prof-v1 document against the run's metrics
-/// baseline, and writes it.
-bool write_prof_json_file(const std::string& path,
-                          const MetricsSnapshot& baseline, double wall_s,
-                          double cpu_s) {
-  prof::RssLog::global().sample();
-  prof::RssLog::global().disable();
-  const MetricsSnapshot now = MetricsRegistry::global().snapshot();
-  const json::Value doc =
-      prof::build_prof_json(baseline, now, wall_s, cpu_s);
-  std::ofstream out(path);
-  if (out) out << doc.dump(2) << "\n";
-  if (!out) std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
-  return static_cast<bool>(out);
-}
-
-/// --prof-folded: collapsed-stack self-time lines from the span rings
-/// (tracing must have been enabled for the run and disabled again).
-bool write_prof_folded_file(const std::string& path) {
-  return write_text_file(
-      path, prof::folded_stacks(SpanTracer::global().to_chrome_json()));
-}
-
-/// Span/prof instrumentation around a run: the flags are epilogue artifacts,
-/// so both verify paths share the enable/disable/write bracketing.
+/// Span/prof instrumentation around a run: the flags are epilogue artifacts
+/// written after the run's threads have joined.
 struct ProfScope {
   std::string span_path, prof_json_path, prof_folded_path;
   bool trace_spans = false;
@@ -198,13 +169,14 @@ struct ProfScope {
     pcpu0 = prof::process_cpu_ns();
   }
 
-  double cpu_seconds() const {
-    return static_cast<double>(prof::process_cpu_ns() - pcpu0) * 1e-9;
-  }
-
   /// Writes the span/prof artifacts; call once after the run's threads have
-  /// joined (the span buffers are quiescent then). False on I/O errors.
-  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s) {
+  /// joined (the span buffers are quiescent then). The rfn-prof-v1 document
+  /// is assembled against the run's metrics baseline, after one final
+  /// direct RSS sample so the timeline is never empty for runs shorter than
+  /// a watchdog poll. False on I/O errors.
+  bool finish(const MetricsSnapshot& baseline, double wall_s) {
+    const double cpu_s =
+        static_cast<double>(prof::process_cpu_ns() - pcpu0) * 1e-9;
     if (trace_spans) {
       SpanTracer::global().disable();
       if (!span_path.empty()) {
@@ -216,72 +188,89 @@ struct ProfScope {
         SpanTracer::global().write_chrome_json(out);
       }
       if (!prof_folded_path.empty() &&
-          !write_prof_folded_file(prof_folded_path))
+          !write_text_file(prof_folded_path,
+                           prof::folded_stacks(
+                               SpanTracer::global().to_chrome_json())))
         return false;
     }
-    if (!prof_json_path.empty() &&
-        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s))
-      return false;
-    return true;
+    if (prof_json_path.empty()) return true;
+    prof::RssLog::global().sample();
+    prof::RssLog::global().disable();
+    const json::Value doc = prof::build_prof_json(
+        baseline, MetricsRegistry::global().snapshot(), wall_s, cpu_s);
+    return write_text_file(prof_json_path, doc.dump(2) + "\n");
   }
 };
 
-int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
-                     api::VerifyRequest req) {
+const char* verdict_label(Verdict v) {
+  return v == Verdict::Holds         ? "HOLDS"
+         : v == Verdict::Fails       ? "VIOLATED"
+         : v == Verdict::ResourceOut ? "RESOURCE-OUT"
+                                     : "UNKNOWN";
+}
+
+/// Flags that no longer exist. Each is a usage error naming what replaced
+/// it, so a script never silently loses the artifact it asked for.
+constexpr std::pair<const char*, const char*> kRetiredFlags[] = {
+    {"workers",
+     "engine races run in priority order on the run's thread "
+     "(--session-workers runs properties concurrently)"},
+    {"batch", "every run is a session; no flag is needed"},
+    {"cert-out", "use --cert-dir DIR (writes DIR/<property>.cert.json)"},
+    {"aiger-witness", "use --witness-dir DIR (writes DIR/<property>.wit)"},
+};
+
+/// Numeric flags parse strictly, through the --props parsers: negative,
+/// non-numeric or trailing text is a usage error naming the flag, never a
+/// silent 0 or a wrap to 2^64-1. `*out` keeps its default when the flag is
+/// absent.
+template <typename T, typename Parse>
+bool get_number(const Options& opts, const char* flag, Parse parse, T* out) {
+  if (!opts.has(flag)) return true;
+  const std::string text = opts.get(flag, "");
+  if (api::parse_flag(text, parse, out)) return true;
+  std::fprintf(stderr, "rfn: invalid value '%s' for --%s\n", text.c_str(),
+               flag);
+  return false;
+}
+
+bool parse_verify_flags(const Options& opts, api::VerifyRequest* req) {
+  RfnOptions& o = req->options;
+  return get_number(opts, "traces", api::parse_count, &o.traces_per_iteration) &&
+         get_number(opts, "pdr-max-frames", api::parse_count,
+                    &o.race_pdr_max_frames) &&
+         get_number(opts, "session-workers", api::parse_count,
+                    &req->session_workers) &&
+         get_number(opts, "time-limit", api::parse_real, &o.time_limit_s) &&
+         get_number(opts, "budget-ms", api::parse_real, &o.budget_ms) &&
+         get_number(opts, "pdr-time", api::parse_real, &o.race_pdr_time_s) &&
+         get_number(opts, "batch-budget-ms", api::parse_real,
+                    &req->batch_budget_ms) &&
+         get_number(opts, "budget-bdd-nodes", api::parse_int64,
+                    &o.budget_bdd_nodes) &&
+         get_number(opts, "budget-mem-mb", api::parse_int64, &o.budget_mem_mb);
+}
+
+/// --cert-dir and --witness-dir: run_verify built and checked the
+/// certificates (they are already in the rfn-trace-v2 records); writing
+/// them, and the AIGER-convention witnesses third-party checkers consume
+/// (aigsim-style stimulus for VIOLATED, a claim line for HOLDS), is CLI
+/// business. False on I/O errors.
+bool write_artifacts(const api::LoadedDesign& design, const Options& opts,
+                     const api::RunOutput& out) {
+  bool ok = true;
   const std::string cert_dir = opts.get("cert-dir", "");
-  req.certify = opts.get_bool("certify", false) || !cert_dir.empty();
-
-  // The trace file opens before the run so an unwritable path fails before
-  // minutes of engine work, not after.
-  const std::string trace_path = opts.get("trace-json", "");
-  std::ofstream trace_out;
-  if (!trace_path.empty()) {
-    trace_out.open(trace_path);
-    if (!trace_out) {
-      std::fprintf(stderr, "rfn: cannot write %s\n", trace_path.c_str());
-      return 2;
-    }
-  }
-  api::StreamTraceSink file_sink(trace_out);
-
-  ProfScope prof(opts);
-  api::RunOutput out;
-  std::string error;
-  if (!api::run_verify(design, req, trace_path.empty() ? nullptr : &file_sink,
-                       /*stream_properties=*/false, nullptr, &out, &error)) {
-    std::fprintf(stderr, "rfn: %s\n", error.c_str());
-    return 2;
-  }
-  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds())) return 2;
-
-  // --cert-dir: run_verify built and checked the witnesses (they are already
-  // in the rfn-trace-v2 records); writing them to disk is CLI business.
-  bool certified_ok = true, cert_io_ok = true;
-  if (req.certify && !cert_dir.empty()) {
+  if (!cert_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cert_dir, ec);
+    for (size_t i = 0; i < out.cert_records.size(); ++i)
+      if (out.cert_artifacts[i].built)
+        ok &= write_text_file(
+            cert_dir + "/" + sanitize_file_stem(out.cert_records[i].property) +
+                ".cert.json",
+            cert::to_json(out.cert_artifacts[i].certificate));
   }
-  for (size_t i = 0; i < out.cert_records.size(); ++i) {
-    const CertificateRecord& rec = out.cert_records[i];
-    if (!rec.ok) certified_ok = false;
-    const CertificateArtifact& art = out.cert_artifacts[i];
-    if (art.built && !cert_dir.empty()) {
-      const std::string path = cert_dir + "/" + cert_file_name(rec.property);
-      std::ofstream cert_out(path);
-      if (cert_out) {
-        cert_out << cert::to_json(art.certificate);
-      } else {
-        std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
-        cert_io_ok = false;
-      }
-    }
-  }
-
-  // --witness-dir: conclusive verdicts additionally export AIGER-convention
-  // witnesses, consumable by third-party checkers (aigsim-style stimulus for
-  // VIOLATED, a claim line for HOLDS).
   const std::string wit_dir = opts.get("witness-dir", "");
-  bool wit_io_ok = true;
   if (!wit_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(wit_dir, ec);
@@ -296,193 +285,95 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
       } else {
         continue;
       }
-      const std::string path =
-          wit_dir + "/" + sanitize_file_stem(r.name) + ".wit";
-      if (!write_text_file(path, body)) wit_io_ok = false;
+      ok &= write_text_file(wit_dir + "/" + sanitize_file_stem(r.name) + ".wit",
+                            body);
     }
   }
+  return ok;
+}
 
-  std::printf("batch: %zu properties, %.2f s\n", out.results.size(),
-              out.seconds);
-  std::printf("%-24s %-12s %5s %8s\n", "property", "verdict", "iters",
-              "seconds");
-  bool all_conclusive = true;
+/// The stdout report: the header with the per-property time limit, the
+/// property table (each property's note and budget trip under its row), one
+/// line per certificate, the engine and portfolio tables over the whole run,
+/// and the error traces under --dump-trace.
+void print_report(const api::LoadedDesign& design, const Options& opts,
+                  const api::VerifyRequest& req, const api::RunOutput& out) {
+  std::printf("batch: %zu propert%s, %.2f s", out.results.size(),
+              out.results.size() == 1 ? "y" : "ies", out.seconds);
+  if (req.options.time_limit_s < 0.0)
+    std::printf(", no time limit\n");
+  else
+    std::printf(", time limit %g s per property\n", req.options.time_limit_s);
+  std::printf("%-24s %-12s %5s %5s %8s\n", "property", "verdict", "iters",
+              "regs", "seconds");
   for (const PropertyResult& r : out.results) {
-    std::printf("%-24s %-12s %5zu %8.2f\n", r.name.c_str(),
-                r.verdict == Verdict::Holds         ? "HOLDS"
-                : r.verdict == Verdict::Fails       ? "VIOLATED"
-                : r.verdict == Verdict::ResourceOut ? "RESOURCE-OUT"
-                                                    : "UNKNOWN",
-                r.stats.iterations, r.stats.seconds);
-    if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails)
-      all_conclusive = false;
+    std::printf("%-24s %-12s %5zu %5zu %8.2f\n", r.name.c_str(),
+                verdict_label(r.verdict), r.stats.iterations,
+                r.stats.final_abstract_regs, r.stats.seconds);
+    if (!r.stats.note.empty()) std::printf("  note: %s\n", r.stats.note.c_str());
+    const BudgetTrip& trip = r.stats.budget_trip;
+    if (trip.tripped)
+      std::printf("  budget trip: %s at %.3f s (bdd nodes %lld, rss %.1f MiB)\n",
+                  trip.reason.c_str(), trip.at_seconds,
+                  static_cast<long long>(trip.bdd_nodes),
+                  static_cast<double>(trip.rss_bytes) / (1 << 20));
   }
-  for (const CertificateRecord& rec : out.cert_records) {
+  for (size_t i = 0; i < out.cert_records.size(); ++i) {
+    const CertificateRecord& rec = out.cert_records[i];
+    const std::string& detail = out.cert_artifacts[i].detail;
     if (rec.ok) {
-      std::printf("certificate %-24s OK (%s)\n", rec.property.c_str(),
-                  rec.kind.c_str());
+      std::printf("certificate: OK — %s [%s] %s\n", rec.property.c_str(),
+                  rec.kind.c_str(), detail.c_str());
     } else {
-      std::printf("certificate %-24s FAILED — obligation %s\n",
-                  rec.property.c_str(), rec.obligation.c_str());
+      std::printf("certificate: FAILED — %s obligation %s: %s\n",
+                  rec.property.c_str(), rec.obligation.c_str(), detail.c_str());
     }
   }
+  const MetricsSnapshot run =
+      MetricsRegistry::global().snapshot().delta(out.baseline);
+  std::printf("engines:\n");
+  std::fputs(format_engine_stats(run).c_str(), stdout);
+  std::printf("portfolio:\n");
+  std::fputs(format_portfolio_stats(run).c_str(), stdout);
   if (opts.get_bool("metrics", false))
     std::printf("metrics: %s\n",
                 MetricsRegistry::global().to_json(&out.baseline).dump(2).c_str());
-  if (!cert_io_ok || !wit_io_ok) return 2;
-  if (!certified_ok) return 3;
-  return all_conclusive ? 0 : 1;
-}
-
-int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
-                      const RfnOptions& defaults, const PropertyRequest& prop) {
-  const Netlist& net = design.netlist;
-  const GateId bad = prop.bad;
-  const std::string& bad_name = prop.name;
-  // A one-line --props file still honors its per-property overrides.
-  const RfnOptions rfn_opts = prop.overrides.apply(defaults);
-
-  ProfScope prof(opts);
-  const RfnResult result = run_property(net, bad, rfn_opts);
-  if (!prof.finish(result.metrics_baseline, result.seconds, prof.cpu_seconds()))
-    return 2;
-
-  const std::string trace_path = opts.get("trace-json", "");
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "rfn: cannot write %s\n", trace_path.c_str());
-      return 2;
-    }
-    write_trace_json(out, result);
-  }
-
-  std::printf("verdict: %s\n",
-              result.verdict == Verdict::Holds         ? "HOLDS"
-              : result.verdict == Verdict::Fails       ? "VIOLATED"
-              : result.verdict == Verdict::ResourceOut ? "RESOURCE-OUT"
-                                                       : "UNKNOWN");
-  if (result.budget_trip.tripped)
-    std::printf("budget trip: %s at %.3f s (bdd nodes %lld, rss %.1f MiB)\n",
-                result.budget_trip.reason.c_str(), result.budget_trip.at_seconds,
-                static_cast<long long>(result.budget_trip.bdd_nodes),
-                static_cast<double>(result.budget_trip.rss_bytes) /
-                    (1 << 20));
-  std::printf("iterations: %zu, abstract model: %zu / %zu registers, %.2f s\n",
-              result.iterations, result.final_abstract_regs, net.num_regs(),
-              result.seconds);
-  if (!result.note.empty()) std::printf("note: %s\n", result.note.c_str());
-  // Engine effort and race outcomes come from the metrics registry.
-  const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
-  std::printf("engines:\n");
-  std::fputs(format_engine_stats(metrics).c_str(), stdout);
-  std::printf("portfolio:\n");
-  std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
-  if (opts.get_bool("metrics", false))
-    std::printf("metrics: %s\n",
-                MetricsRegistry::global().to_json().dump(2).c_str());
-  if (result.verdict == Verdict::Fails) {
-    std::printf("error trace: %zu cycles\n", result.error_trace.cycles());
-    if (opts.get_bool("dump-trace", false))
-      std::fputs(trace_to_string(net, result.error_trace).c_str(), stdout);
-  }
-  const std::string aiger_wit = opts.get("aiger-witness", "");
-  if (!aiger_wit.empty() &&
-      (result.verdict == Verdict::Holds || result.verdict == Verdict::Fails)) {
-    const size_t idx = witness_index(design.aiger_properties, bad_name, 0);
-    const std::string body =
-        result.verdict == Verdict::Holds
-            ? aiger::write_witness_holds(idx)
-            : aiger::write_witness_fails(net, idx, result.error_trace);
-    if (!write_text_file(aiger_wit, body)) return 2;
-  }
-  const std::string cert_out = opts.get("cert-out", "");
-  if (opts.get_bool("certify", false) || !cert_out.empty()) {
-    const CertificateArtifact art = certify_with_witness(
-        net, bad, bad_name, result.verdict, result.error_trace,
-        result.final_registers, {},
-        result.pdr_invariant.present ? &result.pdr_invariant : nullptr);
-    std::string what = art.detail;
-    if (!art.checked && art.built)
-      what = "obligation " + art.obligation + ": " + what;
-    if (art.checked)
-      what += std::string(" [") + cert::cert_kind_name(art.certificate.kind) + "]";
-    std::printf("certificate: %s — %s\n", art.checked ? "OK" : "FAILED",
-                what.c_str());
-    if (art.built && !cert_out.empty()) {
-      std::ofstream out(cert_out);
-      if (!out) {
-        std::fprintf(stderr, "rfn: cannot write %s\n", cert_out.c_str());
-        return 2;
+  if (opts.get_bool("dump-trace", false))
+    for (const PropertyResult& r : out.results)
+      if (r.verdict == Verdict::Fails) {
+        std::printf("error trace %s: %zu cycles\n", r.name.c_str(),
+                    r.trace.cycles());
+        std::fputs(trace_to_string(design.netlist, r.trace).c_str(), stdout);
       }
-      out << cert::to_json(art.certificate);
-      std::printf("certificate written: %s\n", cert_out.c_str());
-    }
-    if (!art.checked && result.verdict != Verdict::Unknown &&
-        result.verdict != Verdict::ResourceOut)
-      return 3;
-  }
-  return result.verdict == Verdict::Holds || result.verdict == Verdict::Fails
-             ? 0
-             : 1;
-}
-
-/// Count flags (--traces, --pdr-max-frames, --session-workers) go through
-/// api::parse_count, the --props parser: negative or non-numeric text is a
-/// usage error naming the flag, never a wrap to 2^64-1. `*out` keeps its
-/// default when the flag is absent.
-bool get_count(const Options& opts, const char* flag, size_t* out) {
-  if (!opts.has(flag)) return true;
-  const std::string text = opts.get(flag, "");
-  try {
-    *out = api::parse_count(text);
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "rfn: invalid value '%s' for --%s\n", text.c_str(),
-                 flag);
-    return false;
-  }
 }
 
 int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
+  for (const auto& [flag, replacement] : kRetiredFlags)
+    if (opts.has(flag)) {
+      std::fprintf(stderr, "rfn: --%s is gone: %s\n", flag, replacement);
+      return 2;
+    }
   // Flags → api::VerifyRequest: the same struct a server request parses to.
   api::VerifyRequest req;
-  if (opts.has("workers")) {
-    std::fprintf(stderr,
-                 "rfn: --workers is gone: engine races run in priority order "
-                 "on the run's thread (--session-workers runs properties "
-                 "concurrently)\n");
-    return 2;
-  }
-  req.options.time_limit_s = opts.get_double("time-limit", 300.0);
-  if (!get_count(opts, "traces", &req.options.traces_per_iteration) ||
-      !get_count(opts, "pdr-max-frames", &req.options.race_pdr_max_frames) ||
-      !get_count(opts, "session-workers", &req.session_workers))
-    return 2;
+  req.options.time_limit_s = 300.0;
+  if (!parse_verify_flags(opts, &req)) return 2;
   req.options.approx_fallback = !opts.get_bool("no-approx", false);
-  req.options.budget_ms = opts.get_double("budget-ms", -1.0);
-  req.options.budget_bdd_nodes = opts.get_int("budget-bdd-nodes", 0);
-  req.options.budget_mem_mb = opts.get_int("budget-mem-mb", 0);
   // --prof-json wants the RSS timeline: the watchdog monitor thread samples
   // /proc/self/statm each poll even when no budget is set.
   req.options.sample_rss = !opts.get("prof-json", "").empty();
   req.options.proof_shrink = opts.get_bool("proof-shrink", false);
-  req.options.race_pdr_time_s =
-      opts.get_double("pdr-time", req.options.race_pdr_time_s);
   for (const std::string& list : opts.get_all("engine")) {
     std::stringstream es(list);
     std::string e;
     while (std::getline(es, e, ','))
       if (!e.empty()) req.options.engines.push_back(e);
   }
-  req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);
   req.reuse = !opts.get_bool("no-reuse", false);
-  req.batch = opts.get_bool("batch", false);
+  req.certify = opts.get_bool("certify", false) || opts.has("cert-dir");
 
-  // Collect the property set: every --bad plus every --props line. More
-  // than one property routes through a VerifySession. Signals resolve
-  // inside api::run_verify (api::resolve_properties) with the spec's origin
-  // prefixed to any unknown-signal diagnostic.
+  // Collect the property set: every --bad plus every --props line. Signals
+  // resolve inside api::run_verify, with the spec's origin prefixed to any
+  // unknown-signal diagnostic.
   for (const std::string& bad_name : opts.get_all("bad")) {
     api::PropertySpec spec;
     spec.signal = bad_name;
@@ -514,32 +405,44 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
       req.props.push_back(std::move(spec));
     }
   }
+
   // Invalid options, per-property overrides included, fail before any
-  // engine runs.
+  // engine runs and before --trace-json creates its file.
   const std::vector<std::string> invalid = req.validate();
   for (const std::string& e : invalid)
     std::fprintf(stderr, "rfn: invalid options: %s\n", e.c_str());
   if (!invalid.empty()) return 2;
-  // An AIGER design with no explicit selection verifies its whole property
-  // list (each bad output, or each output pre-1.9 style) as one batch.
-  const size_t effective =
-      req.props.empty() ? design.aiger_properties.size() : req.props.size();
-  if (effective > 1 || req.batch)
-    return cmd_verify_batch(design, opts, std::move(req));
 
-  // Single-run path (rfn-trace-v1): exactly what `rfn verify` without a
-  // batch always did. An unnamed one-line --props file keeps the
-  // conventional "bad" label while verifying the signal the line named, and
-  // an AIGER property's label ("b0") is not a netlist signal name at all.
-  std::vector<PropertyRequest> props;
+  // The trace file opens before the run so an unwritable path fails before
+  // minutes of engine work, not after.
+  const std::string trace_path = opts.get("trace-json", "");
+  std::ofstream trace_out;
+  if (!trace_path.empty()) {
+    trace_out.open(trace_path);
+    if (!trace_out) {
+      std::fprintf(stderr, "rfn: cannot write %s\n", trace_path.c_str());
+      return 2;
+    }
+  }
+  api::StreamTraceSink file_sink(trace_out);
+
+  ProfScope prof(opts);
+  api::RunOutput out;
   std::string error;
-  if (!api::resolve_properties(design.netlist, design.aiger_properties,
-                               req.props, &props, &error)) {
+  if (!api::run_verify(design, req, trace_path.empty() ? nullptr : &file_sink,
+                       /*stream_properties=*/false, nullptr, &out, &error)) {
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
-  if (props.front().name.empty()) props.front().name = "bad";
-  return cmd_verify_single(design, opts, req.options, props.front());
+  if (!prof.finish(out.baseline, out.seconds)) return 2;
+  const bool io_ok = write_artifacts(design, opts, out);
+  print_report(design, opts, req, out);
+  if (!io_ok) return 2;
+  for (const CertificateRecord& rec : out.cert_records)
+    if (!rec.ok) return 3;
+  for (const PropertyResult& r : out.results)
+    if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails) return 1;
+  return 0;
 }
 
 int cmd_coverage(const Netlist& design, const Options& opts) {
@@ -562,7 +465,9 @@ int cmd_coverage(const Netlist& design, const Options& opts) {
   }
 
   CoverageOptions cov_opts;
-  cov_opts.time_limit_s = opts.get_double("time-limit", 300.0);
+  cov_opts.time_limit_s = 300.0;
+  if (!get_number(opts, "time-limit", api::parse_real, &cov_opts.time_limit_s))
+    return 2;
   const CoverageResult r = rfn_coverage_analysis(design, cov, cov_opts);
   std::printf("coverage states: %zu total\n", r.total_states);
   std::printf("  unreachable: %zu (proved on the abstraction)\n", r.unreachable);

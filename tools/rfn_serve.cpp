@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -62,25 +61,21 @@ int usage() {
   return 2;
 }
 
-bool parse_num(const char* s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s, &end);
-  return end != s && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   serve::ServerOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](double* out) {
-      if (i + 1 >= argc || !parse_num(argv[++i], out)) {
-        std::fprintf(stderr, "rfn_serve: %s needs a numeric value\n",
-                     arg.c_str());
-        return false;
-      }
-      return true;
+    // Reals and int64 windows parse like rfn-req-v1 overrides
+    // (api::parse_real / api::parse_int64): non-numeric, trailing, non-finite
+    // or out-of-range text is a usage error, never a silent cast.
+    auto number = [&](auto parse, auto* out) {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      if (api::parse_flag(text, parse, out)) return true;
+      std::fprintf(stderr, "rfn_serve: %s needs a number, got '%s'\n",
+                   arg.c_str(), text);
+      return false;
     };
     // Counts parse like rfn-req-v1 counts (api::parse_count): negative,
     // fractional or trailing text, or a value above `max`, is a usage
@@ -88,16 +83,13 @@ int main(int argc, char** argv) {
     // threads) exists.
     auto count = [&](size_t max, size_t* out) {
       const char* text = i + 1 < argc ? argv[++i] : "";
-      try {
-        const size_t v = api::parse_count(text);
-        if (v <= max) return *out = v, true;
-      } catch (const std::exception&) {
-      }
+      size_t v = 0;
+      if (api::parse_flag(text, api::parse_count, &v) && v <= max)
+        return *out = v, true;
       std::fprintf(stderr, "rfn_serve: %s needs a count <= %zu, got '%s'\n",
                    arg.c_str(), max, text);
       return false;
     };
-    double num = 0;
     size_t n = 0;
     if (arg == "--socket" && i + 1 < argc) {
       opt.unix_socket = argv[++i];
@@ -112,17 +104,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-cap") {
       if (!count(SIZE_MAX, &opt.admission.queue_capacity)) return 2;
     } else if (arg == "--admit-ms") {
-      if (!value(&num)) return 2;
-      opt.admission.time_window_ms = num;
+      if (!number(api::parse_real, &opt.admission.time_window_ms)) return 2;
     } else if (arg == "--admit-mem-mb") {
-      if (!value(&num)) return 2;
-      opt.admission.mem_window_mb = static_cast<int64_t>(num);
+      if (!number(api::parse_int64, &opt.admission.mem_window_mb)) return 2;
     } else if (arg == "--admit-bdd-nodes") {
-      if (!value(&num)) return 2;
-      opt.admission.bdd_node_window = static_cast<int64_t>(num);
+      if (!number(api::parse_int64, &opt.admission.bdd_node_window)) return 2;
     } else if (arg == "--default-demand-ms") {
-      if (!value(&num)) return 2;
-      opt.admission.default_demand_ms = num;
+      if (!number(api::parse_real, &opt.admission.default_demand_ms)) return 2;
     } else if (arg == "--warm-mb") {
       if (!count(INT64_MAX >> 20, &n)) return 2;
       opt.warm_budget_bytes = static_cast<int64_t>(n) << 20;

@@ -12,27 +12,23 @@ nonzero with a diagnostic on a malformed trace, so it doubles as the format
 checker in tests and CI. `--self-check` runs the validators against
 built-in good and bad synthetic traces and needs no input file.
 
-With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from a
-batch run (`rfn verify ... --bad A --bad B --trace-json FILE`): one
-"property" record per property, then — for --certify runs — one
-"certificate" record per conclusive property, plus a final "batch-summary".
-The validator checks the version tag, the per-record shape, the verdict and
-certificate-kind spellings, that a failed certification names its failing
-obligation (and a successful one does not), and that the summary's
-property/verdict/certificate counts match the records, then prints a
-per-property table, a certification summary line when certificates were
-recorded, and a SAT-engine activity line (checks, conflicts,
+With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from
+`rfn verify ... --trace-json FILE`: one "property" record per property,
+each carrying its CEGAR iterations under "per_iteration", then — for
+--certify runs — one "certificate" record per conclusive property, plus a
+final "batch-summary". The validator checks the version tag, the
+per-record shape, the verdict and certificate-kind spellings, that a failed
+certification names its failing obligation (and a successful one does
+not), and that the summary's property/verdict/certificate counts match the
+records. Per property it checks that there is one iteration entry per
+counted iteration, numbered from 0, each with every engine block —
+including the IC3/PDR activity block (obligations/clauses/frames,
+nonnegative numbers) and the refine block's proof-shrink column
+(shrunk_registers, bounded by the abstraction size). It then prints a
+per-property table with each property's per-iteration table (PDR and
+shrink columns) under it, a certification summary line when certificates
+were recorded, and a SAT-engine activity line (checks, conflicts,
 refinement-hint registers) when the sat engine ran.
-
-With `--run` the input is an rfn-trace-v1 JSON Lines file from a
-single-property run (`rfn verify ... --bad A --trace-json FILE`): one
-"iteration" record per CEGAR iteration, then a final "summary". The
-validator checks the version tag, sequential iteration numbering, that
-every engine block is present — including the IC3/PDR activity block
-(obligations/clauses/frames, nonnegative numbers) and the refine block's
-proof-shrink column (shrunk_registers, bounded by the abstraction size) —
-and that the summary's iteration count matches the records, then prints a
-per-iteration table with the PDR and shrink columns.
 
 With `--corpus` the input is an rfn-corpus-v2 summary from
 tools/corpus_run.py. The validator checks the schema tag, the per-file and
@@ -84,10 +80,8 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 TRACE_VERSION = "rfn-spans-v1"
 BATCH_TRACE_VERSION = "rfn-trace-v2"
-RUN_TRACE_VERSION = "rfn-trace-v1"
-# Per-iteration record shape for single-run traces (`rfn verify --bad X
-# --trace-json`): every engine block is always present, zeroed when the
-# engine is disabled.
+# Shape of each per_iteration entry of a property record: every engine
+# block is always present, zeroed when the engine is disabled.
 ITERATION_KEYS = ("iter", "abstraction", "reach", "bdd", "hybrid",
                   "trace_cycles", "concretize", "sat", "pdr", "refine",
                   "engines", "seconds")
@@ -95,7 +89,8 @@ ITERATION_KEYS = ("iter", "abstraction", "reach", "bdd", "hybrid",
 # block, both added with the pdr engine.
 PDR_ITER_KEYS = ("obligations", "clauses", "frames")
 VERDICTS = ("T", "F", "?", "resource-out")
-PROPERTY_KEYS = ("name", "bad", "verdict", "iterations", "seconds")
+PROPERTY_KEYS = ("name", "bad", "verdict", "iterations", "seconds",
+                 "per_iteration")
 CERTIFICATE_KEYS = ("property", "kind", "ok", "clauses", "trace_cycles",
                     "obligation", "seconds")
 CERTIFICATE_KINDS = ("holds-invariant", "fails-trace")
@@ -201,6 +196,7 @@ def validate_batch(records):
         if verdict not in VERDICTS:
             fail(f"property record {i} ({r['name']!r}): unknown verdict "
                  f"{verdict!r}")
+        validate_iterations(r)
         counts[verdict] += 1
     cert_counts = collections.Counter()
     for i, r in enumerate(certs):
@@ -245,100 +241,47 @@ def validate_batch(records):
     return props, certs, summary
 
 
-def validate_run(records):
-    """Checks an rfn-trace-v1 record list (one parsed JSONL object per
-    line from a single-property `--trace-json` run); returns
-    (iteration_records, summary)."""
-    if not records:
-        fail("empty run trace")
-    summary = records[-1]
-    if summary.get("type") != "summary":
-        fail(f"last record has type {summary.get('type')!r}, "
-             f"expected 'summary'")
-    version = summary.get("trace_version")
-    if version != RUN_TRACE_VERSION:
-        fail(f"trace_version is {version!r}, expected {RUN_TRACE_VERSION!r}")
-    if summary.get("verdict") not in VERDICTS:
-        fail(f"summary: unknown verdict {summary.get('verdict')!r}")
-    iters = records[:-1]
+def validate_iterations(prop):
+    """Checks a property record's per_iteration list: one entry per counted
+    iteration, numbered from 0, every engine block present."""
+    name = prop["name"]
+    iters = prop["per_iteration"]
+    if not isinstance(iters, list):
+        fail(f"property {name!r}: per_iteration is not a list")
+    if prop["iterations"] != len(iters):
+        fail(f"property {name!r} counts {prop['iterations']} iterations, "
+             f"per_iteration has {len(iters)} entries")
     for i, r in enumerate(iters):
-        if r.get("type") != "iteration":
-            fail(f"record {i} has type {r.get('type')!r}, "
-                 f"expected 'iteration'")
+        where = f"property {name!r} iteration {i}"
+        if not isinstance(r, dict):
+            fail(f"{where} is not an object")
         for key in ITERATION_KEYS:
             if key not in r:
-                fail(f"iteration record {i} lacks {key!r}")
+                fail(f"{where} lacks {key!r}")
         if r["iter"] != i:
-            fail(f"iteration record {i} is numbered {r['iter']!r}")
+            fail(f"{where} is numbered {r['iter']!r}")
         pdr = r["pdr"]
         if not isinstance(pdr, dict):
-            fail(f"iteration {i}: pdr block is not an object")
+            fail(f"{where}: pdr block is not an object")
         for key in PDR_ITER_KEYS:
             value = pdr.get(key)
             if not _nonneg_number(value):
-                fail(f"iteration {i}: pdr.{key} is {value!r}, expected a "
+                fail(f"{where}: pdr.{key} is {value!r}, expected a "
                      f"nonnegative number")
         refine = r["refine"]
         if not isinstance(refine, dict):
-            fail(f"iteration {i}: refine block is not an object")
+            fail(f"{where}: refine block is not an object")
         shrunk = refine.get("shrunk_registers")
         if not _nonneg_number(shrunk):
-            fail(f"iteration {i}: refine.shrunk_registers is {shrunk!r}, "
+            fail(f"{where}: refine.shrunk_registers is {shrunk!r}, "
                  f"expected a nonnegative number")
         # A shrink that dropped more registers than the abstraction held is
         # arithmetically impossible — a corrupted or miscounted record.
         regs = r.get("abstraction", {})
         if (isinstance(regs, dict) and _nonneg_number(regs.get("regs")) and
-                shrunk is not None and _nonneg_number(shrunk) and
-                shrunk > regs.get("regs", 0)):
-            fail(f"iteration {i}: refine.shrunk_registers={shrunk} exceeds "
-                 f"the abstraction's {regs.get('regs')} registers")
-    declared = summary.get("iterations")
-    if declared != len(iters):
-        fail(f"summary counts {declared} iterations, the document has "
-             f"{len(iters)} iteration records")
-    return iters, summary
-
-
-def report_run(path):
-    """Validates and summarizes an rfn-trace-v1 single-run JSONL file."""
-    records = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    fail(f"line {lineno}: not JSON ({err})")
-    except OSError as err:
-        print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
-        return 1
-    iters, summary = validate_run(records)
-
-    print("== run summary ==")
-    print(f"verdict={summary['verdict']} iterations={len(iters)} "
-          f"final_abstract_regs={summary.get('final_abstract_regs', 0)} "
-          f"total_wall_s={summary.get('seconds', 0.0):.6f}")
-    print(f"\n{'iter':>4} {'regs':>5} {'reach':<14} {'abs-winner':<12} "
-          f"{'pdr-obl':>8} {'pdr-cls':>8} {'frames':>6} {'shrunk':>6} "
-          f"{'seconds':>9}")
-    for r in iters:
-        winner = r.get("engines", {}).get("abstract", {}).get("winner", "")
-        print(f"{r['iter']:>4} {r.get('abstraction', {}).get('regs', 0):>5} "
-              f"{r.get('reach', {}).get('status', ''):<14} "
-              f"{(winner or '-'):<12} "
-              f"{r['pdr'].get('obligations', 0):>8.0f} "
-              f"{r['pdr'].get('clauses', 0):>8.0f} "
-              f"{r['pdr'].get('frames', 0):>6.0f} "
-              f"{r['refine'].get('shrunk_registers', 0):>6.0f} "
-              f"{r.get('seconds', 0.0):>9.3f}")
-    total_shrunk = sum(r["refine"].get("shrunk_registers", 0) for r in iters)
-    if total_shrunk:
-        print(f"\nproof_shrink: dropped {total_shrunk:.0f} register(s) "
-              f"across {len(iters)} iteration(s)")
-    return 0
+                shrunk > regs["regs"]):
+            fail(f"{where}: refine.shrunk_registers={shrunk} exceeds the "
+                 f"abstraction's {regs['regs']} registers")
 
 
 def validate_corpus(doc):
@@ -576,20 +519,29 @@ def validate_serve(lines):
     return requests
 
 
-def report_serve(path):
-    """Validates and summarizes an rfn_serve session log."""
-    lines = []
+def read_jsonl(path):
+    """The parsed records of a JSON Lines file; None (after a diagnostic)
+    when the file cannot be read. A line that is not JSON is a TraceError."""
+    records = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    lines.append(json.loads(line))
+                    records.append(json.loads(line))
                 except json.JSONDecodeError as err:
                     fail(f"line {lineno}: not JSON ({err})")
     except OSError as err:
         print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
+        return None
+    return records
+
+
+def report_serve(path):
+    """Validates and summarizes an rfn_serve session log."""
+    lines = read_jsonl(path)
+    if lines is None:
         return 1
     requests = validate_serve(lines)
 
@@ -697,20 +649,31 @@ def sat_summary_line(summary):
             f"wins={counters.get('portfolio.wins.sat-bmc', 0)}")
 
 
+def print_iterations(iters):
+    """The per-iteration table printed under a property's row."""
+    print(f"  {'iter':>4} {'regs':>5} {'reach':<14} {'abs-winner':<12} "
+          f"{'pdr-obl':>8} {'pdr-cls':>8} {'frames':>6} {'shrunk':>6} "
+          f"{'seconds':>9}")
+    for r in iters:
+        winner = r.get("engines", {}).get("abstract", {}).get("winner", "")
+        print(f"  {r['iter']:>4} {r.get('abstraction', {}).get('regs', 0):>5} "
+              f"{r.get('reach', {}).get('status', ''):<14} "
+              f"{(winner or '-'):<12} "
+              f"{r['pdr'].get('obligations', 0):>8.0f} "
+              f"{r['pdr'].get('clauses', 0):>8.0f} "
+              f"{r['pdr'].get('frames', 0):>6.0f} "
+              f"{r['refine'].get('shrunk_registers', 0):>6.0f} "
+              f"{r.get('seconds', 0.0):>9.3f}")
+    shrunk = sum(r["refine"].get("shrunk_registers", 0) for r in iters)
+    if shrunk:
+        print(f"  proof_shrink: dropped {shrunk:.0f} register(s) across "
+              f"{len(iters)} iteration(s)")
+
+
 def report_batch(path):
     """Validates and summarizes an rfn-trace-v2 batch JSONL file."""
-    records = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    fail(f"line {lineno}: not JSON ({err})")
-    except OSError as err:
-        print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
+    records = read_jsonl(path)
+    if records is None:
         return 1
     props, certs, summary = validate_batch(records)
 
@@ -724,6 +687,7 @@ def report_batch(path):
     for r in props:
         print(f"{r['name']:<24} {r['verdict']:<12} "
               f"{r['iterations']:>5} {r['seconds']:>9.3f}")
+        print_iterations(r["per_iteration"])
     if certs:
         kinds = collections.Counter(r["kind"] for r in certs)
         ok = sum(1 for r in certs if r["ok"])
@@ -863,11 +827,43 @@ def synthetic_trace():
                           "dropped_events": 0}}
 
 
+def synthetic_iteration(i, regs, shrunk):
+    """One well-formed per_iteration entry for --self-check."""
+    return {
+        "type": "iteration", "iter": i,
+        "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
+        "reach": {"status": "bad-reachable" if i == 0 else "proved",
+                  "steps": 3, "approx_used": False, "approx_proved": False},
+        "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
+                "cache_hit_rate": 0.5, "reorderings": 0},
+        "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
+                   "atpg_rejects": 0},
+        "trace_cycles": 4 if i == 0 else 0,
+        "concretize": {"status": "unsat" if i == 0 else "none"},
+        "sat": {"conflicts": 7, "propagations": 90, "depth": 4,
+                "core_size": 2},
+        "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
+        "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
+                   "hint_candidates": 2, "added_until_unsat": 1,
+                   "removed_by_greedy": 0, "final_count": regs,
+                   "atpg_calls": 1, "trace_invalidated": False,
+                   "shrunk_registers": shrunk},
+        "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
+                                 "cpu_seconds": 0.01},
+                    "concretize": {"winner": "sat-bmc", "seconds": 0.02,
+                                   "cpu_seconds": 0.02}},
+        "seconds": 0.05,
+    }
+
+
 def synthetic_batch_trace():
     """A minimal well-formed rfn-trace-v2 record list for --self-check."""
-    prop = {"type": "property", "bad": 7, "order_seeded": False, "seeded_registers": 0, "iterations": 2,
-            "final_abstract_regs": 3, "error_trace_cycles": 0,
-            "seconds": 0.25, "note": ""}
+    prop = {"type": "property", "bad": 7, "order_seeded": False,
+            "seeded_registers": 0, "iterations": 2,
+            "final_abstract_regs": 4, "error_trace_cycles": 0,
+            "seconds": 0.25, "note": "",
+            "per_iteration": [synthetic_iteration(0, 3, 0),
+                              synthetic_iteration(1, 4, 1)]}
     cert = {"type": "certificate", "clauses": 0, "trace_cycles": 0,
             "obligation": "", "seconds": 0.01}
     return [
@@ -885,47 +881,6 @@ def synthetic_batch_trace():
                                   "sat.solve_calls": 9,
                                   "rfn.sat_hint_registers": 2,
                                   "portfolio.wins.sat-bmc": 1}}},
-    ]
-
-
-def synthetic_run_trace():
-    """A minimal well-formed rfn-trace-v1 record list for --self-check."""
-    def iteration(i, regs, shrunk):
-        return {
-            "type": "iteration", "iter": i,
-            "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
-            "reach": {"status": "bad-reachable" if i == 0 else "proved",
-                      "steps": 3, "approx_used": False,
-                      "approx_proved": False},
-            "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
-                    "cache_hit_rate": 0.5, "reorderings": 0},
-            "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
-                       "atpg_rejects": 0},
-            "trace_cycles": 4 if i == 0 else 0,
-            "concretize": {"status": "unsat" if i == 0 else "none"},
-            "sat": {"conflicts": 7, "propagations": 90, "depth": 4,
-                    "core_size": 2},
-            "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
-            "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
-                       "hint_candidates": 2, "added_until_unsat": 1,
-                       "removed_by_greedy": 0, "final_count": regs,
-                       "atpg_calls": 1, "trace_invalidated": False,
-                       "shrunk_registers": shrunk},
-            "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
-                                     "cpu_seconds": 0.01},
-                        "concretize": {"winner": "sat-bmc", "seconds": 0.02,
-                                       "cpu_seconds": 0.02}},
-            "seconds": 0.05,
-        }
-
-    return [
-        iteration(0, 3, 0),
-        iteration(1, 4, 1),
-        {"type": "summary", "trace_version": RUN_TRACE_VERSION,
-         "verdict": "T", "iterations": 2, "final_abstract_regs": 4,
-         "error_trace_cycles": 0, "seconds": 0.12, "cpu_seconds": 0.11,
-         "note": "", "metrics_epoch": 0,
-         "metrics": {"counters": {"pdr.runs": 2, "pdr.clauses": 5}}},
     ]
 
 
@@ -1054,7 +1009,7 @@ def self_check():
                         "where the sat engine never ran")
 
     failures += [f for f in (
-        corrupt_batch(lambda d: d[-1].update(trace_version="rfn-trace-v1"),
+        corrupt_batch(lambda d: d[-1].update(trace_version="rfn-trace-v0"),
                       "wrong batch trace_version"),
         corrupt_batch(lambda d: d[-1].update(metrics=[1, 2]),
                       "non-object summary metrics"),
@@ -1084,48 +1039,39 @@ def self_check():
                       "property record after certificate records"),
     ) if f]
 
-    good_run = synthetic_run_trace()
-    try:
-        validate_run(good_run)
-    except TraceError as err:
-        print(f"self-check: valid run trace rejected: {err}",
-              file=sys.stderr)
-        return 1
-
-    def corrupt_run(mutate, expect):
-        doc = json.loads(json.dumps(good_run))
-        mutate(doc)
-        try:
-            validate_run(doc)
-        except TraceError:
-            return None
-        return f"self-check: {expect} not detected"
+    # The per-iteration checks, on p0's entries (d[0]["per_iteration"]).
+    def it(d, k):
+        return d[0]["per_iteration"][k]
 
     failures += [f for f in (
-        corrupt_run(lambda d: d[-1].update(trace_version="rfn-trace-v2"),
-                    "wrong run trace_version"),
-        corrupt_run(lambda d: d.pop(),  # drop the summary
-                    "missing run summary"),
-        corrupt_run(lambda d: d[0].pop("pdr"),
-                    "iteration record missing the pdr block"),
-        corrupt_run(lambda d: d[0].update(pdr=[1, 2]),
-                    "non-object pdr block"),
-        corrupt_run(lambda d: d[0]["pdr"].pop("obligations"),
-                    "pdr block missing a counter"),
-        corrupt_run(lambda d: d[0]["pdr"].update(clauses=-3),
-                    "negative pdr clause count"),
-        corrupt_run(lambda d: d[0]["pdr"].update(frames="three"),
-                    "non-numeric pdr frame count"),
-        corrupt_run(lambda d: d[1]["refine"].pop("shrunk_registers"),
-                    "refine block missing shrunk_registers"),
-        corrupt_run(lambda d: d[1]["refine"].update(shrunk_registers=-1),
-                    "negative shrunk_registers"),
-        corrupt_run(lambda d: d[1]["refine"].update(shrunk_registers=99),
-                    "shrink larger than the abstraction"),
-        corrupt_run(lambda d: d[1].update(iter=5),
-                    "non-sequential iteration numbering"),
-        corrupt_run(lambda d: d[-1].update(iterations=3),
-                    "summary iteration-count mismatch"),
+        corrupt_batch(lambda d: d[0].pop("per_iteration"),
+                      "property record without per_iteration"),
+        corrupt_batch(lambda d: d[0].update(per_iteration={}),
+                      "non-list per_iteration"),
+        corrupt_batch(lambda d: d[0].update(iterations=3),
+                      "iteration count / per_iteration mismatch"),
+        corrupt_batch(lambda d: it(d, 0).pop("pdr"),
+                      "iteration entry missing the pdr block"),
+        corrupt_batch(lambda d: it(d, 0).update(pdr=[1, 2]),
+                      "non-object pdr block"),
+        corrupt_batch(lambda d: it(d, 0)["pdr"].pop("obligations"),
+                      "pdr block missing a counter"),
+        corrupt_batch(lambda d: it(d, 0)["pdr"].update(clauses=-3),
+                      "negative pdr clause count"),
+        corrupt_batch(lambda d: it(d, 0)["pdr"].update(frames="three"),
+                      "non-numeric pdr frame count"),
+        corrupt_batch(lambda d: it(d, 1)["refine"].pop("shrunk_registers"),
+                      "refine block missing shrunk_registers"),
+        corrupt_batch(lambda d: it(d, 1)["refine"].update(
+                          shrunk_registers=-1),
+                      "negative shrunk_registers"),
+        corrupt_batch(lambda d: it(d, 1)["refine"].update(
+                          shrunk_registers=99),
+                      "shrink larger than the abstraction"),
+        corrupt_batch(lambda d: it(d, 1).update(iter=5),
+                      "non-sequential iteration numbering"),
+        corrupt_batch(lambda d: it(d, 1).pop("engines"),
+                      "iteration entry missing a key"),
     ) if f]
 
     good_corpus = synthetic_corpus()
@@ -1279,10 +1225,8 @@ def main():
     ap.add_argument("--self-check", action="store_true",
                     help="validate built-in good/bad traces and exit")
     ap.add_argument("--batch", action="store_true",
-                    help="TRACE is an rfn-trace-v2 batch JSONL file")
-    ap.add_argument("--run", action="store_true",
-                    help="TRACE is an rfn-trace-v1 single-run JSONL file "
-                         "(iteration records + summary)")
+                    help="TRACE is an rfn-trace-v2 JSONL file from "
+                         "rfn verify --trace-json")
     ap.add_argument("--corpus", action="store_true",
                     help="TRACE is an rfn-corpus-v2 summary from "
                          "tools/corpus_run.py")
@@ -1324,12 +1268,6 @@ def main():
             return report_batch(args.trace)
         except TraceError as err:
             print(f"trace_report: invalid batch trace: {err}", file=sys.stderr)
-            return 1
-    if args.run:
-        try:
-            return report_run(args.trace)
-        except TraceError as err:
-            print(f"trace_report: invalid run trace: {err}", file=sys.stderr)
             return 1
     try:
         with open(args.trace) as fh:
