@@ -254,8 +254,6 @@ json::Value VerifyRequest::to_json() const {
     for (const std::string& e : options.engines) engines.push(e);
     opt.set("engines", std::move(engines));
   }
-  opt.set("approx-fallback", options.approx_fallback);
-  opt.set("proof-shrink", options.proof_shrink);
   opt.set("pdr-max-frames", options.race_pdr_max_frames);
   opt.set("pdr-time", options.race_pdr_time_s);
   opt.set("budget-ms", options.budget_ms);
@@ -364,10 +362,6 @@ bool parse_options(const json::Value& v, RfnOptions* out, std::string* error) {
         if (!want_string(e, ctx + " entry", &name, error)) return false;
         out->engines.push_back(std::move(name));
       }
-    } else if (key == "approx-fallback") {
-      if (!want_bool(val, ctx, &out->approx_fallback, error)) return false;
-    } else if (key == "proof-shrink") {
-      if (!want_bool(val, ctx, &out->proof_shrink, error)) return false;
     } else if (key == "pdr-max-frames") {
       if (!want_size(val, ctx, &out->race_pdr_max_frames, error)) return false;
     } else if (key == "pdr-time") {
@@ -857,8 +851,8 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     PropertyVerdict pv;
     pv.name = r.name;
     pv.verdict = to_string(r.verdict);
-    pv.order_seeded = r.order_seeded;
-    pv.seeded_registers = r.seeded_registers;
+    pv.order_seeded = r.stats.order_seeded;
+    pv.seeded_registers = r.stats.seeded_registers;
     pv.iterations = r.stats.iterations;
     pv.seconds = r.stats.seconds;
     pv.note = r.stats.note;

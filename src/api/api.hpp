@@ -113,13 +113,14 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///                           "traces":..,"budget-ms":..,
 ///                           "budget-bdd-nodes":..,"budget-mem-mb":..}}],
 ///    "options":{"time-limit":..,"max-iterations":..,"traces":..,
-///               "engines":["bdd",..],"approx-fallback":..,
+///               "engines":["bdd",..],"pdr-max-frames":..,"pdr-time":..,
 ///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
 ///    "session":{"workers":..,"batch-budget-ms":..,"reuse":..},
 ///    "certify":..,"inline-certificates":..}
 ///
-/// Every field except "type"/"version"/"design" is optional and defaults as
-/// the CLI always has. An empty "props" falls back to the design's AIGER
+/// These are all the keys; any other is an error. Every field except
+/// "type"/"version"/"design" is optional and defaults as the CLI always
+/// has. An empty "props" falls back to the design's AIGER
 /// property list, then to the conventional "bad" signal. "engines" names a
 /// subset of bdd, atpg, sat, pdr (empty = all) that includes a Step-2
 /// engine (bdd, sat or pdr); validate() rejects any other list.

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "netlist/analysis.hpp"
+#include "util/metrics.hpp"
 
 namespace rfn {
 
@@ -68,5 +69,73 @@ void apply_saved_order(BddMgr& mgr, const Encoder& enc, const Subcircuit& sub,
   }
   mgr.set_order(order);
 }
+
+std::shared_ptr<const Subcircuit> SubcircuitMemo::get(
+    const Netlist& m, const std::vector<GateId>& roots,
+    const std::vector<GateId>& included) {
+  std::string key;
+  key.reserve((roots.size() + included.size() + 1) * sizeof(GateId));
+  const auto push_ids = [&key](const std::vector<GateId>& ids) {
+    key.append(reinterpret_cast<const char*>(ids.data()),
+               ids.size() * sizeof(GateId));
+  };
+  push_ids(roots);
+  key.push_back('\0');  // sizeof(GateId) has no 1-byte representation: safe separator
+  push_ids(included);
+
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
+    ++hits_;
+    reg.counter("session.subcircuit_memo.hits").add(1);
+    return it->second;
+  }
+  ++misses_;
+  reg.counter("session.subcircuit_memo.misses").add(1);
+  // Bound the cache: a long refinement run visits a fresh register set every
+  // iteration and would otherwise retain every abstract model it ever built.
+  // Dropping everything is crude but keeps the memo O(1)-bounded while still
+  // serving the cross-property case (repeated identical extractions land
+  // well under the cap).
+  if (map_.size() >= 16) map_.clear();
+  auto sub = std::make_shared<Subcircuit>(extract_abstract_model(m, roots, included));
+  map_.emplace(std::move(key), sub);
+  return sub;
+}
+
+int64_t SubcircuitMemo::approx_bytes() const {
+  // Structural estimate: each memoized Subcircuit owns a netlist copy plus
+  // two id maps sized by the ORIGINAL design. A nominal per-gate footprint
+  // (gate record + fanin vector) over both keeps the figure monotone in the
+  // cached volume, which is all the warm-state byte budget needs.
+  constexpr int64_t kPerGate = 48;
+  int64_t total = 0;
+  for (const auto& [key, sub] : map_) {
+    total += static_cast<int64_t>(key.size());
+    total += static_cast<int64_t>(sub->net.size()) * kPerGate;
+    total += static_cast<int64_t>(sub->old_of_new.size()) * sizeof(GateId) * 2;
+  }
+  return total;
+}
+
+AbstractModel::AbstractModel(const Netlist& m, const std::vector<GateId>& roots,
+                             const std::vector<GateId>& included,
+                             SubcircuitMemo* memo, const SavedOrder& order,
+                             size_t max_live_nodes, bool encode,
+                             std::atomic<int64_t>* node_probe)
+    : sub_(memo != nullptr ? memo->get(m, roots, included)
+                           : std::make_shared<const Subcircuit>(
+                                 extract_abstract_model(m, roots, included))) {
+  mgr_.set_live_node_probe(node_probe);
+  if (encode) {
+    enc_.emplace(mgr_, sub_->net);
+    apply_saved_order(mgr_, *enc_, *sub_, order);
+  }
+  mgr_.set_auto_reorder(true);
+  mgr_.set_node_budget(max_live_nodes);
+  if (encode) img_.emplace(*enc_);
+}
+
+AbstractModel::~AbstractModel() { publish_bdd_metrics(mgr_.stats()); }
 
 }  // namespace rfn

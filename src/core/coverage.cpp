@@ -5,7 +5,6 @@
 #include "core/abstraction.hpp"
 #include "core/concretize.hpp"
 #include "core/hybrid_trace.hpp"
-#include "mc/image.hpp"
 #include "netlist/subcircuit.hpp"
 #include "sim/sim3.hpp"
 #include "util/log.hpp"
@@ -103,23 +102,13 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
 
     std::sort(included.begin(), included.end());
     included.erase(std::unique(included.begin(), included.end()), included.end());
-    const Subcircuit sub = extract_abstract_model(m, roots, included);
-
-    BddMgr mgr;
-    // Flushes this iteration's manager stats into the registry exactly once,
-    // on every exit path (the manager dies with the iteration), as
-    // run_property does.
-    struct PublishOnExit {
-      explicit PublishOnExit(const BddMgr& m) : mgr(m) {}
-      PublishOnExit(const PublishOnExit&) = delete;
-      ~PublishOnExit() { publish_bdd_metrics(mgr.stats()); }
-      const BddMgr& mgr;
-    } publish(mgr);
-    Encoder enc(mgr, sub.net);
-    if (!saved_order.empty()) apply_saved_order(mgr, enc, sub, saved_order);
-    mgr.set_auto_reorder(true);
-    mgr.set_node_budget(opt.reach.max_live_nodes);
-    ImageComputer img(enc);
+    // Step 1, exactly as run_property builds it.
+    AbstractModel model(m, roots, included, /*memo=*/nullptr, saved_order,
+                        opt.reach.max_live_nodes, /*encode=*/true);
+    const Subcircuit& sub = model.sub();
+    BddMgr& mgr = model.mgr();
+    Encoder& enc = *model.enc();
+    ImageComputer& img = *model.img();
     if (img.aborted()) {
       RFN_WARN("coverage iter %zu: abstract model exceeded node budget", iter);
       break;
@@ -136,7 +125,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
         reach_opt.time_limit_s < 0.0 ? rem : std::min(reach_opt.time_limit_s, rem);
     const ReachResult reach =
         forward_reach(img, enc.initial_states(), mgr.bdd_false(), reach_opt);
-    saved_order = save_order(mgr, enc, sub);
+    saved_order = model.saved_order();
     if (reach.status != ReachStatus::Proved) {
       RFN_WARN("coverage iter %zu: abstract fixpoint did not complete", iter);
       break;

@@ -9,7 +9,8 @@
 //      extract an abstract error trace with the BDD-ATPG hybrid engine;
 //   3. concretize on the original design with guided sequential ATPG;
 //   4. on spurious traces, refine via 3-valued simulation + greedy ATPG
-//      register minimization.
+//      register minimization; when SAT BMC refuted the trace, registers its
+//      UNSAT core never touched are dropped first (grow/shrink).
 // RFN never performs symbolic image computation on the original design.
 //
 // RfnOptions and RfnResult are the loop's configuration and outcome; the
@@ -40,10 +41,6 @@ struct RfnOptions {
   /// Resource limits for Step 4's greedy minimization.
   RefineOptions refine;
   HybridTraceOptions hybrid;
-  /// When the exact fixpoint on an abstract model exceeds its resources,
-  /// retry with the overlapping-partition approximate traversal (the
-  /// paper's future-work engine): a Proved there is still a proof.
-  bool approx_fallback = true;
   /// How many abstract error traces Step 2 extracts per iteration. With
   /// more than one, Step 3 guides sequential ATPG with the whole set (the
   /// paper's second future-work direction), falling back to consensus
@@ -69,16 +66,6 @@ struct RfnOptions {
   /// in an otherwise-winnerless race would stall the loop, so it gets its
   /// own limit rather than race_probe_time_s.
   double race_pdr_time_s = 10.0;
-  /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
-  /// Step-3 bounded-UNSAT concrete check, drop included registers that the
-  /// proof's assumption core never touched, alternating counterexample-
-  /// driven grow with proof-driven shrink. Sound for any included set — the
-  /// abstract check over-approximates and concrete checks always run on the
-  /// full design — so shrinking can change iteration counts and the final
-  /// register set but never a verdict. Registers from the initial
-  /// abstraction and registers re-added after a previous shrink (sticky)
-  /// are never dropped, which guarantees loop progress.
-  bool proof_shrink = false;
 
   /// True when `name` ("bdd", "atpg", "sat", "pdr") participates in races.
   bool engine_enabled(const char* name) const;
@@ -119,7 +106,8 @@ struct RfnIteration {
   size_t bdd_cache_lookups = 0;
   size_t bdd_cache_hits = 0;
   size_t bdd_reorderings = 0;
-  /// Whether the approximate-traversal fallback ran and what it returned.
+  /// Whether the approximate-traversal fallback (run when the Step-2 race
+  /// ends inconclusive) ran and what it returned.
   bool approx_used = false;
   bool approx_proved = false;
   size_t trace_cycles = 0;          // abstract error trace length (0 = none)
@@ -143,8 +131,8 @@ struct RfnIteration {
   uint64_t pdr_obligations = 0;
   uint64_t pdr_clauses = 0;
   size_t pdr_frames = 0;
-  /// Registers dropped by proof-based shrink this iteration (0 when
-  /// proof_shrink is off or no bounded-UNSAT proof was available).
+  /// Registers dropped by proof-based shrink this iteration (0 unless SAT
+  /// BMC refuted the trace with a bounded-UNSAT core that left some out).
   size_t shrunk_registers = 0;
   /// Wall time of the Step-2 / Step-3 engine races, and the thread-CPU time
   /// their launched jobs burned (see RaceResult::cpu_seconds).
@@ -182,9 +170,14 @@ struct RfnResult {
   size_t iterations = 0;
   size_t final_abstract_regs = 0;
   /// The included register set when the run ended (sorted): the final
-  /// abstract model. Lets callers resume refinement or seed a later run
-  /// (RunHooks::seed_registers).
+  /// abstract model.
   std::vector<GateId> final_registers;
+  /// Reuse-cache effects: whether the first BDD manager was seeded with an
+  /// earlier run's variable order, and how many crucial-register hints from
+  /// earlier runs (those in this property's cone) seeded the initial
+  /// abstraction.
+  bool order_seeded = false;
+  size_t seeded_registers = 0;
   double seconds = 0.0;
   /// Thread-CPU seconds of the calling thread over run_property(); every
   /// engine race runs on that thread, so this covers them.

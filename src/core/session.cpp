@@ -26,57 +26,6 @@
 namespace rfn {
 
 // ---------------------------------------------------------------------------
-// SubcircuitMemo
-
-std::shared_ptr<const Subcircuit> SubcircuitMemo::get(
-    const Netlist& m, const std::vector<GateId>& roots,
-    const std::vector<GateId>& included) {
-  std::string key;
-  key.reserve((roots.size() + included.size() + 1) * sizeof(GateId));
-  const auto push_ids = [&key](const std::vector<GateId>& ids) {
-    key.append(reinterpret_cast<const char*>(ids.data()),
-               ids.size() * sizeof(GateId));
-  };
-  push_ids(roots);
-  key.push_back('\0');  // sizeof(GateId) has no 1-byte representation: safe separator
-  push_ids(included);
-
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++hits_;
-    reg.counter("session.subcircuit_memo.hits").add(1);
-    return it->second;
-  }
-  ++misses_;
-  reg.counter("session.subcircuit_memo.misses").add(1);
-  // Bound the cache: a long refinement run visits a fresh register set every
-  // iteration and would otherwise retain every abstract model it ever built.
-  // Dropping everything is crude but keeps the memo O(1)-bounded while still
-  // serving the cross-property case (repeated identical extractions land
-  // well under the cap).
-  if (map_.size() >= 16) map_.clear();
-  auto sub = std::make_shared<Subcircuit>(extract_abstract_model(m, roots, included));
-  map_.emplace(std::move(key), sub);
-  return sub;
-}
-
-int64_t SubcircuitMemo::approx_bytes() const {
-  // Structural estimate: each memoized Subcircuit owns a netlist copy plus
-  // two id maps sized by the ORIGINAL design. A nominal per-gate footprint
-  // (gate record + fanin vector) over both keeps the figure monotone in the
-  // cached volume, which is all the warm-state byte budget needs.
-  constexpr int64_t kPerGate = 48;
-  int64_t total = 0;
-  for (const auto& [key, sub] : map_) {
-    total += static_cast<int64_t>(key.size());
-    total += static_cast<int64_t>(sub->net.size()) * kPerGate;
-    total += static_cast<int64_t>(sub->old_of_new.size()) * sizeof(GateId) * 2;
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // SatBmcPool
 
 SatBmc& SatBmcPool::get(const Netlist& m) {
@@ -118,7 +67,7 @@ namespace {
 // by the abstract trace length instead.)
 constexpr size_t kRaceSatMaxDepth = 48;
 // Block sizing of the overlapping-partition approximate traversal (the
-// approx_fallback engine).
+// fallback after an inconclusive Step 2).
 constexpr size_t kApproxBlockSize = 12;
 constexpr size_t kApproxOverlap = 4;
 
@@ -152,23 +101,64 @@ struct RaceAnswer {
   std::optional<std::vector<GateId>> core;
 };
 
-// The state Steps 2 and 3 of one iteration share: the design, this
-// iteration's abstract model and its BDD encoding, the engines' budgets,
-// and the per-iteration record the race jobs write their effort into.
-struct IterationContext {
+// The state of one run that outlives its iterations: the design and its
+// options, the register set the loop grows and shrinks, the variable order
+// carried from iteration to iteration, and the engines every iteration
+// shares.
+struct RunState {
   const Netlist& m;
   GateId bad;
   const RfnOptions& opt;
-  const Subcircuit& sub;
-  const std::vector<GateId>& included;  // sorted
+  const Deadline& deadline;
   const CancelToken* cancel;
+  ReuseCache* cache;  // null: nothing is reused across runs
+  SatBmc* sat_bmc;    // null when "sat" is disabled
+  RfnResult& result;
+  std::vector<GateId> roots;
+  std::vector<GateId> all_regs;  // ascending = sorted
+  std::vector<GateId> included;  // sorted at the start of each iteration
+  SavedOrder saved_order;
+  // Proof-shrink bookkeeping: registers of the initial (seeded) abstraction
+  // are never dropped, and a register dropped once becomes sticky if
+  // refinement ever re-adds it — shrink_abstraction marks drops in this same
+  // bitmap, so the grow/shrink alternation cannot oscillate on any single
+  // register.
+  std::vector<bool> shrink_sticky;
+};
+
+// The state Steps 2-4 of one iteration share: the run, Step 1's model and
+// the bad states on it, this iteration's engine budgets, and the
+// per-iteration record the steps write their effort into.
+struct IterationContext {
+  IterationContext(RunState& r, AbstractModel& model_, RfnIteration& it_,
+                   size_t iter_)
+      : run(r), model(model_), it(it_), iter(iter_), reach_opt(r.opt.reach) {
+    const RfnOptions& opt = run.opt;
+    const GateId bad_new = model.sub().to_new(run.bad);
+    RFN_CHECK(bad_new != kNullGate, "property signal missing from abstraction");
+    // Bad states: states from which some input valuation raises the signal.
+    if (Encoder* enc = model.enc())
+      bad_set = model.mgr().exists(enc->signal_fn(bad_new), enc->input_vars());
+    // A budget (negative = none) capped by what is left of the time limit.
+    const auto cap = [&](double budget) {
+      if (opt.time_limit_s < 0.0) return budget;
+      const double rem = run.deadline.remaining_seconds();
+      return budget < 0.0 ? rem : std::min(budget, rem);
+    };
+    reach_opt.time_limit_s = cap(reach_opt.time_limit_s);
+    probe_budget = cap(opt.race_probe_time_s);
+    // PDR can conclude Holds, but an unlimited PDR job in an otherwise
+    // winnerless race would stall the loop, so it runs under its own wall
+    // limit (0 = unlimited).
+    pdr_budget = cap(opt.race_pdr_time_s > 0.0 ? opt.race_pdr_time_s : -1.0);
+  }
+
+  RunState& run;
+  AbstractModel& model;
   RfnIteration& it;
-  // The abstract model's BDD side; null when "bdd" is disabled.
-  Encoder* enc;
-  ImageComputer* img;
-  const Bdd& bad_set;
+  size_t iter;
+  Bdd bad_set;  // null when "bdd" is disabled
   ReachOptions reach_opt;
-  SatBmc* sat_bmc;  // null when "sat" is disabled
   double probe_budget;
   double pdr_budget;
 };
@@ -184,7 +174,7 @@ PortfolioJob sat_job(IterationContext& cx, size_t depth,
                      bool refutes, RaceAnswer& ans) {
   return {"sat-bmc", budget,
           [&cx, depth, &scope, refutes, &ans](const CancelToken& token) {
-            SatBmcResult r = cx.sat_bmc->check(cx.bad, depth, scope, &token);
+            SatBmcResult r = cx.run.sat_bmc->check(cx.run.bad, depth, scope, &token);
             cx.it.sat_depth = std::max(cx.it.sat_depth, r.depth);
             if (r.status == AtpgStatus::Sat) {
               ans.kind = RaceAnswer::Kind::Trace;
@@ -205,9 +195,9 @@ PortfolioJob sat_job(IterationContext& cx, size_t depth,
 PortfolioJob pdr_job(IterationContext& cx, const std::vector<GateId>& scope,
                      RaceAnswer& ans) {
   return {"pdr", cx.pdr_budget, [&cx, &scope, &ans](const CancelToken& token) {
-            Pdr engine(cx.m, cx.bad, scope);
+            Pdr engine(cx.run.m, cx.run.bad, scope);
             PdrOptions po;
-            po.max_frames = cx.opt.race_pdr_max_frames;
+            po.max_frames = cx.run.opt.race_pdr_max_frames;
             PdrResult r = engine.run(po, &token);
             cx.it.pdr_obligations += r.stats.obligations;
             cx.it.pdr_clauses += r.stats.clauses;
@@ -230,15 +220,17 @@ PortfolioJob pdr_job(IterationContext& cx, const std::vector<GateId>& scope,
 // states leaves its traces in the onion rings, where the BDD-ATPG hybrid
 // engine extracts them: an answer of Trace with no trace means the hybrid
 // engine exhausted its candidates.
-RaceAnswer abstract_step(IterationContext& cx, SavedOrder& saved_order) {
+RaceAnswer abstract_step(IterationContext& cx) {
   RaceAnswer ans;
   ReachResult reach;
+  Encoder* enc = cx.model.enc();
+  const RfnOptions& opt = cx.run.opt;
   std::vector<PortfolioJob> jobs;
-  if (cx.enc != nullptr) {
+  if (enc != nullptr) {
     jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
                       ReachOptions ro = cx.reach_opt;
                       ro.cancel = &token;
-                      reach = forward_reach(*cx.img, cx.enc->initial_states(),
+                      reach = forward_reach(*cx.model.img(), enc->initial_states(),
                                             cx.bad_set, ro);
                       if (reach.status == ReachStatus::Proved)
                         ans.kind = RaceAnswer::Kind::Holds;
@@ -247,33 +239,75 @@ RaceAnswer abstract_step(IterationContext& cx, SavedOrder& saved_order) {
                       return ans.kind != RaceAnswer::Kind::None;
                     }});
   }
-  if (cx.sat_bmc != nullptr)
-    jobs.push_back(sat_job(cx, kRaceSatMaxDepth, cx.included, cx.probe_budget,
-                           false, ans));
-  if (cx.opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, cx.included, ans));
-  const RaceResult res = race(jobs, cx.cancel);
+  if (cx.run.sat_bmc != nullptr)
+    jobs.push_back(sat_job(cx, kRaceSatMaxDepth, cx.run.included,
+                           cx.probe_budget, false, ans));
+  if (opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, cx.run.included, ans));
+  const RaceResult res = race(jobs, cx.run.cancel);
   cx.it.abstract_engine = res.winner_name;
   cx.it.abstract_race_seconds = res.seconds;
   cx.it.abstract_race_cpu_seconds = res.cpu_seconds;
   cx.it.reach_steps = reach.steps;
   if (ans.kind == RaceAnswer::Kind::None) {
-    cx.it.reach_status =
-        cx.enc != nullptr ? reach.status : ReachStatus::ResourceOut;
+    cx.it.reach_status = enc != nullptr ? reach.status : ReachStatus::ResourceOut;
     return ans;
   }
   cx.it.reach_status = ans.kind == RaceAnswer::Kind::Holds
                            ? ReachStatus::Proved
                            : ReachStatus::BadReachable;
   if (ans.kind == RaceAnswer::Kind::Trace && ans.traces.empty()) {
-    HybridTraceOptions hybrid_opt = cx.opt.hybrid;
-    if (hybrid_opt.cancel == nullptr) hybrid_opt.cancel = cx.cancel;
-    for (const Trace& t : hybrid_error_traces(
-             *cx.enc, cx.sub.net, reach, cx.bad_set,
-             cx.opt.traces_per_iteration, hybrid_opt, &cx.it.hybrid))
-      ans.traces.push_back(cx.sub.trace_to_old(t));
+    HybridTraceOptions hybrid_opt = opt.hybrid;
+    if (hybrid_opt.cancel == nullptr) hybrid_opt.cancel = cx.run.cancel;
+    const Subcircuit& sub = cx.model.sub();
+    for (const Trace& t :
+         hybrid_error_traces(*enc, sub.net, reach, cx.bad_set,
+                             opt.traces_per_iteration, hybrid_opt, &cx.it.hybrid))
+      ans.traces.push_back(sub.trace_to_old(t));
   }
-  if (cx.enc != nullptr) saved_order = save_order(cx.enc->mgr(), *cx.enc, cx.sub);
+  if (enc != nullptr) cx.run.saved_order = cx.model.saved_order();
   return ans;
+}
+
+// After an inconclusive Step 2, the overlapping-partition approximate
+// traversal (the paper's future-work engine) may still prove the property
+// when the exact fixpoint cannot complete on a large abstract model.
+enum class ApproxOutcome { Proved, BlindRefined, Inconclusive };
+ApproxOutcome approx_step(IterationContext& cx) {
+  RunState& run = cx.run;
+  if (cx.model.enc() == nullptr || run.deadline.expired() ||
+      should_stop(run.cancel))
+    return ApproxOutcome::Inconclusive;
+  cx.it.approx_used = true;
+  ApproxReachOptions aopt;
+  aopt.block_size = kApproxBlockSize;
+  aopt.overlap = kApproxOverlap;
+  aopt.time_limit_s = run.opt.time_limit_s >= 0.0
+                          ? run.deadline.remaining_seconds()
+                          : cx.reach_opt.time_limit_s;
+  aopt.max_live_nodes = cx.reach_opt.max_live_nodes;
+  Encoder& enc = *cx.model.enc();
+  const ApproxReachResult approx =
+      approx_forward_reach(enc, enc.initial_states(), cx.bad_set, aopt);
+  if (approx.status == ApproxStatus::Proved) {
+    cx.it.approx_proved = true;
+    return ApproxOutcome::Proved;
+  }
+  // Inconclusive: there is no error trace to drive Step 4, but the loop can
+  // still make progress topologically — pull in the next batch of registers
+  // closest to the property and retry. This bottoms out at the full-COI
+  // abstraction, where the approximate traversal is as strong as it gets.
+  std::vector<bool> have(run.m.size(), false);
+  for (GateId r : run.included) have[r] = true;
+  size_t added = 0;
+  for (GateId r : closest_registers(run.m, run.roots, run.included.size() + 8)) {
+    if (have[r]) continue;
+    run.included.push_back(r);
+    ++added;
+  }
+  if (added == 0) return ApproxOutcome::Inconclusive;
+  RFN_INFO("iter %zu: approx inconclusive; blind-refining with %zu registers",
+           cx.iter, added);
+  return ApproxOutcome::BlindRefined;
 }
 
 // Step 3: concretize the abstract error traces on the original design,
@@ -285,16 +319,16 @@ RaceAnswer abstract_step(IterationContext& cx, SavedOrder& saved_order) {
 // needed (the refinement hints). With every register as state, PDR's Cex is
 // a real error trace and its Holds a proof on the FULL design, which ends
 // the whole loop, not just this trace.
-RaceAnswer concrete_step(IterationContext& cx, const std::vector<Trace>& traces,
-                         const std::vector<GateId>& all_regs) {
+RaceAnswer concrete_step(IterationContext& cx, const std::vector<Trace>& traces) {
   RaceAnswer ans;
+  const RunState& run = cx.run;
   std::vector<PortfolioJob> jobs;
-  if (cx.opt.engine_enabled("atpg")) {
+  if (run.opt.engine_enabled("atpg")) {
     jobs.push_back({"guided-atpg", -1.0, [&](const CancelToken& token) {
-                      AtpgOptions ao = cx.opt.concretize_atpg;
+                      AtpgOptions ao = run.opt.concretize_atpg;
                       ao.cancel = &token;
                       ConcretizeResult conc =
-                          concretize_with_traces(cx.m, traces, cx.bad, ao);
+                          concretize_with_traces(run.m, traces, run.bad, ao);
                       if (conc.status == AtpgStatus::Sat) {
                         ans.kind = RaceAnswer::Kind::Trace;
                         ans.traces.push_back(std::move(conc.trace));
@@ -304,11 +338,11 @@ RaceAnswer concrete_step(IterationContext& cx, const std::vector<Trace>& traces,
                       return ans.kind != RaceAnswer::Kind::None;
                     }});
   }
-  if (cx.sat_bmc != nullptr)
+  if (run.sat_bmc != nullptr)
     jobs.push_back(
-        sat_job(cx, traces.front().cycles(), all_regs, -1.0, true, ans));
-  if (cx.opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, all_regs, ans));
-  const RaceResult res = race(jobs, cx.cancel);
+        sat_job(cx, traces.front().cycles(), run.all_regs, -1.0, true, ans));
+  if (run.opt.engine_enabled("pdr")) jobs.push_back(pdr_job(cx, run.all_regs, ans));
+  const RaceResult res = race(jobs, run.cancel);
   cx.it.concretize_engine = res.winner_name;
   cx.it.concretize_race_seconds = res.seconds;
   cx.it.concretize_race_cpu_seconds = res.cpu_seconds;
@@ -320,10 +354,181 @@ RaceAnswer concrete_step(IterationContext& cx, const std::vector<Trace>& traces,
   return ans;
 }
 
+// Step 4: refine after a spurious trace. A bounded-UNSAT assumption core
+// from Step 3 does two things. Its registers that the abstraction lacks go
+// to the front of the refinement candidates: hints only, since
+// identify_crucial_registers still vets every one of them. And included
+// registers outside it contributed nothing to refuting this trace, so they
+// are dropped before the crucial set grows the abstraction (proof-driven
+// shrink, Eén/Mishchenko/Amla). Shrink is sound for any included set — the
+// abstract check over-approximates for every scope and concrete checks
+// always run on the full design — so it changes which abstractions the loop
+// visits, never a verdict. False when refinement found no crucial register.
+bool refine_step(IterationContext& cx, const Trace& abs_trace,
+                 const RaceAnswer& conc) {
+  RunState& run = cx.run;
+  RefineOptions refine_opt = run.opt.refine;
+  if (conc.core) {
+    for (GateId r : *conc.core)
+      if (!std::binary_search(run.included.begin(), run.included.end(), r))
+        refine_opt.hints.push_back(r);
+    if (!refine_opt.hints.empty())
+      MetricsRegistry::global()
+          .counter("rfn.sat_hint_registers")
+          .add(refine_opt.hints.size());
+  }
+  const std::vector<GateId> crucial = identify_crucial_registers(
+      run.m, run.roots, run.bad, run.included, abs_trace, refine_opt,
+      &cx.it.refine);
+  if (conc.core) {
+    cx.it.shrunk_registers =
+        shrink_abstraction(&run.included, *conc.core, &run.shrink_sticky);
+    if (cx.it.shrunk_registers > 0) {
+      MetricsRegistry::global()
+          .counter("rfn.shrink_registers")
+          .add(cx.it.shrunk_registers);
+      RFN_INFO("iter %zu: proof shrink dropped %zu registers (now %zu)",
+               cx.iter, cx.it.shrunk_registers, run.included.size());
+    }
+  }
+  if (crucial.empty()) {
+    run.result.note = "refinement produced no crucial registers";
+    return false;
+  }
+  RFN_INFO("iter %zu: refining with %zu crucial registers", cx.iter,
+           crucial.size());
+  if (run.cache != nullptr) {
+    std::vector<GateId>& hints = run.cache->crucial_hints;
+    const std::unordered_set<GateId> seen(hints.begin(), hints.end());
+    for (GateId r : crucial)
+      if (seen.find(r) == seen.end()) hints.push_back(r);
+  }
+  for (GateId r : crucial) run.included.push_back(r);
+  return true;
+}
+
+// Steps 2-4 of one iteration on Step 1's model. True: the abstraction grew,
+// so iterate again. False: the run ends, with its verdict or a note saying
+// why in the result.
+bool steps_2_to_4(IterationContext& cx) {
+  RfnResult& result = cx.run.result;
+  if (cx.model.enc() != nullptr &&
+      (cx.model.img()->aborted() || cx.bad_set.is_null())) {
+    cx.it.reach_status = ReachStatus::ResourceOut;
+    result.note = "abstract model exceeded the BDD node budget";
+    return false;
+  }
+
+  RaceAnswer abs = abstract_step(cx);
+  RFN_INFO("iter %zu: abstract race won by %s", cx.iter,
+           cx.it.abstract_engine.empty() ? "(none)" : cx.it.abstract_engine.c_str());
+  if (abs.kind == RaceAnswer::Kind::Holds) {
+    // Subcircuit over-approximation lifts the abstract proof to the original
+    // design. A PDR frame travels out as the certification witness: a BDD
+    // fixpoint over this register scope may never have run.
+    result.pdr_invariant = std::move(abs.invariant);
+    result.verdict = Verdict::Holds;
+    return false;
+  }
+  if (abs.kind == RaceAnswer::Kind::None) {
+    // The exact fixpoint ran out of resources and the other engines
+    // concluded nothing within their budgets.
+    switch (approx_step(cx)) {
+      case ApproxOutcome::Proved:
+        result.verdict = Verdict::Holds;
+        result.note = "proved by overlapping-partition approximation";
+        return false;
+      case ApproxOutcome::BlindRefined:
+        return true;
+      case ApproxOutcome::Inconclusive:
+        result.note = "abstract fixpoint exceeded resources";
+        return false;
+    }
+  }
+  if (abs.traces.empty()) {
+    result.note = "hybrid trace engine exhausted candidates";
+    return false;
+  }
+  const Trace& abs_trace = abs.traces.front();
+  cx.it.trace_cycles = abs_trace.cycles();
+  RFN_INFO("iter %zu: %zu abstract error trace(s), first %zu cycles", cx.iter,
+           abs.traces.size(), abs_trace.cycles());
+
+  RaceAnswer conc = concrete_step(cx, abs.traces);
+  if (conc.kind == RaceAnswer::Kind::Trace) {
+    result.verdict = Verdict::Fails;
+    result.error_trace = std::move(conc.traces.front());
+    return false;
+  }
+  if (conc.kind == RaceAnswer::Kind::Holds) {
+    // PDR proved the full design: the property holds outright, no matter
+    // what the abstract trace suggested.
+    result.pdr_invariant = std::move(conc.invariant);
+    result.verdict = Verdict::Holds;
+    return false;
+  }
+  if (should_stop(cx.run.cancel)) {
+    result.note = "cancelled";
+    return false;
+  }
+  return refine_step(cx, abs_trace, conc);
+}
+
+// The initial abstraction: the property's fanin registers, unioned with the
+// crucial registers earlier runs on the cache refined with, as far as they
+// lie in this property's register cone (hints outside it could only bloat
+// the abstraction). A larger register set only tightens the
+// over-approximation, so seeding shapes which abstractions the run visits,
+// never what a verdict means.
+std::vector<GateId> initial_registers(const Netlist& m, GateId bad,
+                                      const ReuseCache* cache,
+                                      RfnResult& result) {
+  std::vector<GateId> included = initial_abstraction_registers(m, {bad});
+  if (cache == nullptr || cache->crucial_hints.empty()) return included;
+  std::vector<GateId> cone = coi_registers(m, {bad});
+  std::sort(cone.begin(), cone.end());
+  std::vector<bool> have(m.size(), false);
+  for (GateId r : included) have[r] = true;
+  for (GateId r : cache->crucial_hints) {
+    if (!std::binary_search(cone.begin(), cone.end(), r)) continue;
+    ++result.seeded_registers;
+    if (have[r]) continue;
+    have[r] = true;
+    included.push_back(r);
+  }
+  return included;
+}
+
+// Closes one iteration's record, on every way out of it: the BDD manager's
+// internals, the shared solver's deltas and the wall time, into the result
+// and the loop's own "rfn.*" metrics.
+void finish_iteration(RunState& run, AbstractModel& model,
+                      const sat::SolverStats& sat_before, double seconds,
+                      RfnIteration& it) {
+  const BddStats& bs = model.mgr().stats();
+  it.bdd_peak_nodes = bs.peak_live_nodes;
+  it.bdd_cache_lookups = bs.cache_lookups;
+  it.bdd_cache_hits = bs.cache_hits;
+  it.bdd_reorderings = bs.reorderings;
+  if (run.sat_bmc != nullptr) {
+    const sat::SolverStats& ss = run.sat_bmc->solver_stats();
+    it.sat_conflicts = ss.conflicts - sat_before.conflicts;
+    it.sat_propagations = ss.propagations - sat_before.propagations;
+  }
+  it.seconds = seconds;
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.counter("rfn.iterations").add(1);
+  reg.timer("rfn.iteration").record(it.seconds);
+  reg.gauge("rfn.abstract_regs").set(static_cast<int64_t>(it.abstract_regs));
+  reg.counter("rfn.refined_registers").add(it.refine.final_count);
+  reg.counter("rfn.abstract_trace_cycles").add(it.trace_cycles);
+  run.result.per_iteration.push_back(std::move(it));
+}
+
 }  // namespace
 
 RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
-                       const RunHooks& hooks) {
+                       ReuseCache* cache) {
   RFN_CHECK(bad < m.size(), "bad signal out of range");
   const std::vector<std::string> errors = opt.validate();
   RFN_CHECK(errors.empty(), "invalid options: %s", join_errors(errors).c_str());
@@ -334,43 +539,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // the whole run covers them.
   const int64_t run_cpu0 = prof::thread_cpu_ns();
 
-  // Session seeding: the saved variable order and crucial-register hints of
-  // earlier properties. Both are hints — they shape which abstract models
-  // and orders the run visits, never what a verdict means.
-  SavedOrder saved_order;
-  if (hooks.order_io != nullptr) saved_order = *hooks.order_io;
-
-  const std::vector<GateId> roots{bad};
-  std::vector<GateId> included = initial_abstraction_registers(m, roots);
-  if (hooks.seed_registers != nullptr && !hooks.seed_registers->empty()) {
-    std::vector<bool> have(m.size(), false);
-    for (GateId r : included) have[r] = true;
-    for (GateId r : *hooks.seed_registers) {
-      if (have[r]) continue;
-      have[r] = true;
-      included.push_back(r);
-    }
-  }
-
-  // Proof-based shrink bookkeeping (opt.proof_shrink): registers of the
-  // initial (seeded) abstraction are never dropped, and a register dropped
-  // once becomes sticky if refinement ever re-adds it — shrink_abstraction
-  // marks drops in this same bitmap, so the grow/shrink alternation cannot
-  // oscillate on any single register.
-  std::vector<bool> shrink_sticky;
-  if (opt.proof_shrink) {
-    shrink_sticky.assign(m.size(), false);
-    for (GateId r : included) shrink_sticky[r] = true;
-  }
-
-  const auto note_crucial = [&hooks](const std::vector<GateId>& regs) {
-    if (hooks.crucial_out == nullptr) return;
-    const std::unordered_set<GateId> seen(hooks.crucial_out->begin(),
-                                          hooks.crucial_out->end());
-    for (GateId r : regs)
-      if (seen.find(r) == seen.end()) hooks.crucial_out->push_back(r);
-  };
-
   // Engine selection: empty opt.engines enables everything. "bdd" gates the
   // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates
   // guided concretization (Step 3); "sat" gates the incremental BMC engine
@@ -378,24 +546,19 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // Step-2 engine (bdd, sat or pdr). Only "bdd" and "pdr" can prove Holds,
   // so a list with neither restricts the loop to falsification.
   const bool use_bdd = opt.engine_enabled("bdd");
+  // The pooled SAT instance carries learned clauses and unrolled frames
+  // across runs; without a cache the instance still persists across this
+  // run's iterations and races (single-owner, like a BddMgr).
   std::unique_ptr<SatBmc> sat_owned;
   SatBmc* sat_bmc = nullptr;
   if (opt.engine_enabled("sat")) {
-    // The pooled instance carries learned clauses and unrolled frames across
-    // runs; without a pool the instance still persists across this run's
-    // iterations and races (single-owner, like a BddMgr).
-    if (hooks.sat_bmc != nullptr) {
-      sat_bmc = &hooks.sat_bmc->get(m);
-    } else {
-      sat_owned = std::make_unique<SatBmc>(m);
-      sat_bmc = sat_owned.get();
-    }
+    if (cache == nullptr) sat_owned = std::make_unique<SatBmc>(m);
+    sat_bmc = cache != nullptr ? &cache->sat_bmc.get(m) : sat_owned.get();
   }
-  const std::vector<GateId> all_regs = m.regs();  // ascending = sorted
 
   // Resource watchdog: when a budget is set, the run is cancelled through
   // run_token (chaining any external token), and every cancellation point
-  // below polls `cancel` instead of opt.cancel directly.
+  // polls run.cancel instead of opt.cancel directly.
   CancelToken run_token(-1.0, opt.cancel);
   WatchdogOptions wd_opt;
   wd_opt.wall_budget_s = opt.budget_ms > 0.0 ? opt.budget_ms * 1e-3 : -1.0;
@@ -405,281 +568,75 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   Watchdog watchdog(wd_opt, &run_token);
   const bool budgeted = wd_opt.wall_budget_s > 0.0 ||
                         wd_opt.bdd_node_budget > 0 || wd_opt.mem_budget_mb > 0;
-  const CancelToken* cancel = budgeted ? &run_token : opt.cancel;
   // With sample_rss but no budget the monitor thread still runs, purely as
   // the profiler's RSS sampler: it can never trip, so cancellation stays on
   // the caller's token.
   if (budgeted || wd_opt.sample_rss) watchdog.start();
+
+  // Session seeding: the saved variable order and crucial-register hints of
+  // earlier runs on the cache. Both are hints — they shape which abstract
+  // models and orders the run visits, never what a verdict means.
+  RunState run{.m = m,
+               .bad = bad,
+               .opt = opt,
+               .deadline = deadline,
+               .cancel = budgeted ? &run_token : opt.cancel,
+               .cache = cache,
+               .sat_bmc = sat_bmc,
+               .result = result,
+               .roots = {bad},
+               .all_regs = m.regs(),
+               .included = initial_registers(m, bad, cache, result),
+               .saved_order = cache != nullptr ? cache->order : SavedOrder{},
+               .shrink_sticky = std::vector<bool>(m.size(), false)};
+  result.order_seeded = !run.saved_order.empty();
+  for (GateId r : run.included) run.shrink_sticky[r] = true;
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
     if (deadline.expired()) {
       result.note = "time limit exceeded";
       break;
     }
-    if (should_stop(cancel)) {
+    if (should_stop(run.cancel)) {
       result.note = "cancelled";
       break;
     }
-    RfnIteration it;
     Span iter_span("rfn.iteration");
     iter_span.annotate("iter", static_cast<double>(iter));
     const Stopwatch iter_watch;
     ++result.iterations;
-
-    // --- Step 1: abstract model ---
-    std::sort(included.begin(), included.end());
-    std::shared_ptr<const Subcircuit> sub_owned =
-        hooks.subcircuits != nullptr
-            ? hooks.subcircuits->get(m, roots, included)
-            : std::make_shared<const Subcircuit>(
-                  extract_abstract_model(m, roots, included));
-    const Subcircuit& sub = *sub_owned;
-    it.abstract_regs = sub.net.num_regs();
-    it.abstract_inputs = sub.net.num_inputs();
-    it.abstract_gates = sub.net.num_gates();
-    RFN_INFO("iter %zu: abstract model regs=%zu inputs=%zu gates=%zu", iter,
-             it.abstract_regs, it.abstract_inputs, sub.net.num_gates());
-
-    BddMgr mgr;
-    if (budgeted) mgr.set_live_node_probe(watchdog.node_probe());
-    std::optional<Encoder> enc;
-    std::optional<ImageComputer> img;
-    if (use_bdd) {
-      enc.emplace(mgr, sub.net);
-      apply_saved_order(mgr, *enc, sub, saved_order);
-    }
-    mgr.set_auto_reorder(true);
-    mgr.set_node_budget(opt.reach.max_live_nodes);
-    if (use_bdd) img.emplace(*enc);
-
     // The stat snapshot turns the shared incremental solver's cumulative
     // counters into per-iteration deltas.
     const sat::SolverStats sat_before =
         sat_bmc != nullptr ? sat_bmc->solver_stats() : sat::SolverStats{};
 
-    // Every exit path of this iteration funnels through here: harvest the
-    // per-iteration BDD-manager internals, flush them into the registry
-    // (exactly once per manager — it dies with the iteration) and stamp the
-    // iteration wall time. "rfn.*" is the loop's own namespace.
-    auto finish_iteration = [&](RfnIteration& done) {
-      const BddStats& bs = mgr.stats();
-      done.bdd_peak_nodes = bs.peak_live_nodes;
-      done.bdd_cache_lookups = bs.cache_lookups;
-      done.bdd_cache_hits = bs.cache_hits;
-      done.bdd_reorderings = bs.reorderings;
-      publish_bdd_metrics(bs);
-      if (sat_bmc != nullptr) {
-        const sat::SolverStats& ss = sat_bmc->solver_stats();
-        done.sat_conflicts = ss.conflicts - sat_before.conflicts;
-        done.sat_propagations = ss.propagations - sat_before.propagations;
-      }
-      done.seconds = iter_watch.seconds();
-      MetricsRegistry& reg = MetricsRegistry::global();
-      reg.counter("rfn.iterations").add(1);
-      reg.timer("rfn.iteration").record(done.seconds);
-      reg.gauge("rfn.abstract_regs").set(static_cast<int64_t>(done.abstract_regs));
-      reg.counter("rfn.refined_registers").add(done.refine.final_count);
-      reg.counter("rfn.abstract_trace_cycles").add(done.trace_cycles);
-      result.per_iteration.push_back(done);
-    };
+    // --- Step 1: the abstract model of the current register set ---
+    std::sort(run.included.begin(), run.included.end());
+    AbstractModel model(m, run.roots, run.included,
+                        cache != nullptr ? &cache->subcircuits : nullptr,
+                        run.saved_order, opt.reach.max_live_nodes, use_bdd,
+                        budgeted ? watchdog.node_probe() : nullptr);
+    RfnIteration it;
+    it.abstract_regs = model.sub().net.num_regs();
+    it.abstract_inputs = model.sub().net.num_inputs();
+    it.abstract_gates = model.sub().net.num_gates();
+    RFN_INFO("iter %zu: abstract model regs=%zu inputs=%zu gates=%zu", iter,
+             it.abstract_regs, it.abstract_inputs, it.abstract_gates);
 
-    const GateId bad_new = sub.to_new(bad);
-    RFN_CHECK(bad_new != kNullGate, "property signal missing from abstraction");
-    // Bad states: states from which some input valuation raises the signal.
-    Bdd bad_set;
-    if (use_bdd) {
-      bad_set = mgr.exists(enc->signal_fn(bad_new), enc->input_vars());
-      if (img->aborted() || bad_set.is_null()) {
-        it.reach_status = ReachStatus::ResourceOut;
-        finish_iteration(it);
-        result.note = "abstract model exceeded the BDD node budget";
-        break;
-      }
-    }
-
-    ReachOptions reach_opt = opt.reach;
-    if (opt.time_limit_s >= 0.0) {
-      const double rem = deadline.remaining_seconds();
-      reach_opt.time_limit_s = reach_opt.time_limit_s < 0.0
-                                   ? rem
-                                   : std::min(reach_opt.time_limit_s, rem);
-    }
-    const double probe_budget =
-        opt.time_limit_s >= 0.0
-            ? std::min(opt.race_probe_time_s, deadline.remaining_seconds())
-            : opt.race_probe_time_s;
-    // PDR's race budget: it can conclude Holds, but an unlimited PDR job in
-    // an otherwise-winnerless race would stall the loop, so it runs under
-    // its own wall limit (0 = unlimited).
-    const double pdr_race_s = opt.race_pdr_time_s > 0.0 ? opt.race_pdr_time_s : -1.0;
-    const double pdr_budget =
-        opt.time_limit_s >= 0.0
-            ? (pdr_race_s < 0.0
-                   ? deadline.remaining_seconds()
-                   : std::min(pdr_race_s, deadline.remaining_seconds()))
-            : pdr_race_s;
-    IterationContext cx{
-        .m = m,
-        .bad = bad,
-        .opt = opt,
-        .sub = sub,
-        .included = included,
-        .cancel = cancel,
-        .it = it,
-        .enc = enc ? &*enc : nullptr,
-        .img = img ? &*img : nullptr,
-        .bad_set = bad_set,
-        .reach_opt = reach_opt,
-        .sat_bmc = sat_bmc,
-        .probe_budget = probe_budget,
-        .pdr_budget = pdr_budget,
-    };
-
-    // --- Step 2: prove or find an abstract error trace (engine race) ---
-    RaceAnswer abs = abstract_step(cx, saved_order);
-    RFN_INFO("iter %zu: abstract race won by %s", iter,
-             it.abstract_engine.empty() ? "(none)" : it.abstract_engine.c_str());
-    if (abs.kind == RaceAnswer::Kind::Holds) {
-      // Subcircuit over-approximation lifts the abstract proof to the
-      // original design. A PDR frame travels out as the certification
-      // witness: a BDD fixpoint over this register scope may never have run.
-      result.pdr_invariant = std::move(abs.invariant);
-      finish_iteration(it);
-      result.verdict = Verdict::Holds;
-      break;
-    }
-    if (abs.kind == RaceAnswer::Kind::None) {
-      // The exact fixpoint ran out of resources and the other engines
-      // concluded nothing within their budgets.
-      if (use_bdd && opt.approx_fallback && !deadline.expired() &&
-          !should_stop(cancel)) {
-        // Future-work fallback: the overlapping-partition approximate
-        // traversal may still prove the property when the exact fixpoint
-        // cannot complete on a large abstract model.
-        it.approx_used = true;
-        ApproxReachOptions aopt;
-        aopt.block_size = kApproxBlockSize;
-        aopt.overlap = kApproxOverlap;
-        aopt.time_limit_s = opt.time_limit_s >= 0.0 ? deadline.remaining_seconds()
-                                                    : reach_opt.time_limit_s;
-        aopt.max_live_nodes = reach_opt.max_live_nodes;
-        const ApproxReachResult approx =
-            approx_forward_reach(*enc, enc->initial_states(), bad_set, aopt);
-        if (approx.status == ApproxStatus::Proved) {
-          it.approx_proved = true;
-          finish_iteration(it);
-          result.verdict = Verdict::Holds;
-          result.note = "proved by overlapping-partition approximation";
-          break;
-        }
-        // Inconclusive: there is no error trace to drive Step 4, but the
-        // loop can still make progress topologically — pull in the next
-        // batch of registers closest to the property and retry. This
-        // bottoms out at the full-COI abstraction, where the approximate
-        // traversal is as strong as it gets.
-        std::vector<bool> have(m.size(), false);
-        for (GateId r : included) have[r] = true;
-        size_t added = 0;
-        for (GateId r : closest_registers(m, roots, included.size() + 8)) {
-          if (have[r]) continue;
-          included.push_back(r);
-          ++added;
-        }
-        if (added > 0) {
-          RFN_INFO("iter %zu: approx inconclusive; blind-refining with %zu registers",
-                   iter, added);
-          finish_iteration(it);
-          continue;
-        }
-      }
-      finish_iteration(it);
-      result.note = "abstract fixpoint exceeded resources";
-      break;
-    }
-    if (abs.traces.empty()) {
-      finish_iteration(it);
-      result.note = "hybrid trace engine exhausted candidates";
-      break;
-    }
-    const Trace& abs_trace = abs.traces.front();
-    it.trace_cycles = abs_trace.cycles();
-    RFN_INFO("iter %zu: %zu abstract error trace(s), first %zu cycles", iter,
-             abs.traces.size(), abs_trace.cycles());
-
-    // --- Step 3: concretize on the original design (engine race) ---
-    RaceAnswer conc = concrete_step(cx, abs.traces, all_regs);
-    if (conc.kind == RaceAnswer::Kind::Trace) {
-      finish_iteration(it);
-      result.verdict = Verdict::Fails;
-      result.error_trace = std::move(conc.traces.front());
-      break;
-    }
-    if (conc.kind == RaceAnswer::Kind::Holds) {
-      // PDR proved the full design: the property holds outright, no matter
-      // what the abstract trace suggested.
-      result.pdr_invariant = std::move(conc.invariant);
-      finish_iteration(it);
-      result.verdict = Verdict::Holds;
-      break;
-    }
-
-    // --- Step 4: refine ---
-    if (should_stop(cancel)) {
-      finish_iteration(it);
-      result.note = "cancelled";
-      break;
-    }
-    // Bounded-UNSAT assumption cores become refinement hints: registers the
-    // refutation needed that the abstraction lacks go to the front of the
-    // candidate list. Hints only — identify_crucial_registers still vets
-    // every one of them — so they steer the refinement, never the verdict.
-    RefineOptions refine_opt = opt.refine;
-    if (conc.core) {
-      for (GateId r : *conc.core)
-        if (!std::binary_search(included.begin(), included.end(), r))
-          refine_opt.hints.push_back(r);
-      if (!refine_opt.hints.empty())
-        MetricsRegistry::global()
-            .counter("rfn.sat_hint_registers")
-            .add(refine_opt.hints.size());
-    }
-    const std::vector<GateId> crucial = identify_crucial_registers(
-        m, roots, bad, included, abs_trace, refine_opt, &it.refine);
-    // Proof-driven shrink (Eén/Mishchenko/Amla): the Step-3 bounded-UNSAT
-    // refutation names the registers it needed in its assumption core;
-    // included registers outside that core contributed nothing to refuting
-    // this trace, so drop them before growing with the crucial set. Sound
-    // for any included set — the abstract check over-approximates for every
-    // scope and concrete checks always run on the full design — so this can
-    // change which abstractions the loop visits, never a verdict.
-    if (opt.proof_shrink && conc.core) {
-      it.shrunk_registers =
-          shrink_abstraction(&included, *conc.core, &shrink_sticky);
-      if (it.shrunk_registers > 0) {
-        MetricsRegistry::global()
-            .counter("rfn.shrink_registers")
-            .add(it.shrunk_registers);
-        RFN_INFO("iter %zu: proof shrink dropped %zu registers (now %zu)",
-                 iter, it.shrunk_registers, included.size());
-      }
-    }
-    finish_iteration(it);
-    if (crucial.empty()) {
-      result.note = "refinement produced no crucial registers";
-      break;
-    }
-    RFN_INFO("iter %zu: refining with %zu crucial registers", iter, crucial.size());
-    note_crucial(crucial);
-    for (GateId r : crucial) included.push_back(r);
+    // --- Steps 2-4: prove, concretize, refine ---
+    IterationContext cx(run, model, it, iter);
+    const bool refined = steps_2_to_4(cx);
+    finish_iteration(run, model, sat_before, iter_watch.seconds(), it);
+    if (!refined) break;
   }
 
-  std::sort(included.begin(), included.end());
-  result.final_registers = std::move(included);
+  std::sort(run.included.begin(), run.included.end());
+  result.final_registers = std::move(run.included);
   result.final_abstract_regs = result.final_registers.size();
   result.seconds = deadline.elapsed_seconds();
   result.cpu_seconds =
       static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9;
-  if (hooks.order_io != nullptr) *hooks.order_io = std::move(saved_order);
+  if (cache != nullptr) cache->order = std::move(run.saved_order);
 
   // Joining the monitor thread is the happens-before edge for reading the
   // trip state (and, in the CLI, for exporting the span trace).
@@ -752,34 +709,16 @@ void VerifySession::run_one(const PropertyRequest& p, double share_ms,
                             PropertyResult& out) const {
   RfnOptions ro = p.overrides.apply(opt_.defaults);
   apply_fair_share(ro, share_ms);
-  RunHooks hooks;
+  // The caller's warm cache, when the session runs inline; otherwise a
+  // fresh one per property. The workers == 0 restriction is load-bearing:
+  // memo, pool, and order are single-threaded by design, and concurrent
+  // property jobs would race on them.
   ReuseCache fresh;
-  std::vector<GateId> seeds;
-  if (opt_.reuse) {
-    // The caller's warm cache, when the session runs inline; otherwise a
-    // fresh one per property. The workers == 0 restriction is load-bearing:
-    // memo, pool, and order are single-threaded by design, and concurrent
-    // property jobs would race on them.
-    ReuseCache& cache = opt_.shared_cache != nullptr && opt_.workers == 0
-                            ? *opt_.shared_cache
-                            : fresh;
-    // Only hints inside this property's register cone can influence its
-    // run; seeding anything else would only bloat the abstraction.
-    if (!cache.crucial_hints.empty()) {
-      std::vector<GateId> cone = coi_registers(*m_, {p.bad});
-      std::sort(cone.begin(), cone.end());
-      for (GateId r : cache.crucial_hints)
-        if (std::binary_search(cone.begin(), cone.end(), r)) seeds.push_back(r);
-    }
-    hooks.subcircuits = &cache.subcircuits;
-    hooks.sat_bmc = &cache.sat_bmc;
-    hooks.order_io = &cache.order;
-    out.order_seeded = !cache.order.empty();
-    hooks.seed_registers = &seeds;
-    hooks.crucial_out = &cache.crucial_hints;
-  }
-  out.seeded_registers = seeds.size();
-  RfnResult rr = run_property(*m_, p.bad, ro, hooks);
+  ReuseCache* cache = !opt_.reuse ? nullptr
+                      : opt_.shared_cache != nullptr && opt_.workers == 0
+                          ? opt_.shared_cache
+                          : &fresh;
+  RfnResult rr = run_property(*m_, p.bad, ro, cache);
   out.verdict = rr.verdict;
   out.trace = rr.error_trace;
   out.stats = std::move(rr);
@@ -835,8 +774,8 @@ std::vector<PropertyResult> VerifySession::run(
   reg.counter("session.batches").add(1);
   reg.counter("session.properties").add(props.size());
   for (const PropertyResult& r : results) {
-    reg.counter("session.order_seeded").add(r.order_seeded ? 1 : 0);
-    reg.counter("session.seeded_registers").add(r.seeded_registers);
+    reg.counter("session.order_seeded").add(r.stats.order_seeded ? 1 : 0);
+    reg.counter("session.seeded_registers").add(r.stats.seeded_registers);
   }
   reg.timer("session.run").record(watch.seconds());
   span.annotate("properties", static_cast<double>(props.size()));

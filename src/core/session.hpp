@@ -79,13 +79,8 @@ struct PropertyResult {
   /// Error trace on the session's design (Fails only).
   Trace trace;
   /// The full record of this property's own run (iterations, budget trip,
-  /// metrics baseline).
+  /// reuse-cache seeding).
   RfnResult stats;
-  /// Reuse-cache effects: whether this run's first BDD manager was seeded
-  /// with an earlier property's variable order, and how many crucial-
-  /// register hints from earlier properties seeded the initial abstraction.
-  bool order_seeded = false;
-  size_t seeded_registers = 0;
 };
 
 struct ReuseCache;
@@ -122,33 +117,6 @@ struct SessionOptions {
   /// The caller must construct every warmed session over the SAME Netlist
   /// instance (pool entries are keyed by address).
   ReuseCache* shared_cache = nullptr;
-};
-
-/// Memoized subcircuit extraction keyed by (property roots, included
-/// register set). Single-threaded by design: a cache is owned by one
-/// property job, or handed from job to job by an inline session; caches are
-/// never shared across executor threads.
-class SubcircuitMemo {
- public:
-  /// Returns the memoized extraction for (roots, included) or runs
-  /// extract_abstract_model and stores it. `included` must be sorted.
-  std::shared_ptr<const Subcircuit> get(const Netlist& m,
-                                        const std::vector<GateId>& roots,
-                                        const std::vector<GateId>& included);
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
-  /// Rough resident-byte estimate of the memoized subcircuits (structural:
-  /// gates x a nominal per-gate footprint plus the id maps). Feeds the
-  /// server's warm-state byte budget; exactness is not required there, only
-  /// monotonicity in the cached volume.
-  int64_t approx_bytes() const;
-
- private:
-  std::unordered_map<std::string, std::shared_ptr<const Subcircuit>> map_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
 };
 
 /// Pool of long-lived incremental SAT BMC instances keyed by design
@@ -195,33 +163,17 @@ struct ReuseCache {
   int64_t approx_bytes() const;
 };
 
-/// Optional hooks run_property() threads through one CEGAR run; all fields
-/// may be null. This is how the session injects its reuse cache without the
-/// engine knowing about sessions.
-struct RunHooks {
-  /// Memoized Step-1 subcircuit extraction.
-  SubcircuitMemo* subcircuits = nullptr;
-  /// In: initial variable-order seed (may be empty). Out: the final saved
-  /// order of the run.
-  SavedOrder* order_io = nullptr;
-  /// Registers unioned into the initial abstraction (refinement seeds from
-  /// earlier properties). Sound: a larger register set only tightens the
-  /// over-approximation.
-  const std::vector<GateId>* seed_registers = nullptr;
-  /// Out: every crucial register chosen by Step 4, appended in discovery
-  /// order (duplicates possible across iterations are not re-added).
-  std::vector<GateId>* crucial_out = nullptr;
-  /// Pooled incremental SAT BMC instances; null makes the run build its own
-  /// per-run instance when the "sat" engine is enabled.
-  SatBmcPool* sat_bmc = nullptr;
-};
-
 /// The single-property abstraction-refinement engine and the only entry to
-/// the loop. Verifies "`bad` never rises" on `m` under `opt`, with optional
-/// session hooks. Invalid options (RfnOptions::validate) are a caller bug:
-/// the run aborts with the collected messages before any engine starts.
+/// the loop. Verifies "`bad` never rises" on `m` under `opt`. A non-null
+/// `cache` is read and written by the run: Step 1 extracts through its
+/// memo, SAT BMC comes from its pool, its saved order seeds the first BDD
+/// manager and receives the final one, its crucial-register hints inside
+/// the property's cone seed the initial abstraction, and Step 4 appends the
+/// registers it refines with. Invalid options (RfnOptions::validate) are a
+/// caller bug: the run aborts with the collected messages before any engine
+/// starts.
 RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt = {},
-                       const RunHooks& hooks = {});
+                       ReuseCache* cache = nullptr);
 
 class VerifySession {
  public:

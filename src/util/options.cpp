@@ -49,6 +49,12 @@ std::vector<std::string> Options::get_all(const std::string& key) const {
   return out;
 }
 
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : ordered_) out.push_back(k);
+  return out;
+}
+
 bool Options::has(const std::string& key) const { return values_.count(key) > 0; }
 
 std::string Options::get(const std::string& key, const std::string& fallback) const {

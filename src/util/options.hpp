@@ -29,6 +29,9 @@ class Options {
   /// (`--bad a --bad b`) accumulates here; get() returns the last value.
   std::vector<std::string> get_all(const std::string& key) const;
 
+  /// Every option key given, in command-line order (repeats included).
+  std::vector<std::string> keys() const;
+
   const std::vector<std::string>& positionals() const { return positionals_; }
 
  private:

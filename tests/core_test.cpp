@@ -372,10 +372,6 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   ASSERT_FALSE(res.per_iteration.empty());
   EXPECT_TRUE(res.per_iteration.back().approx_used);
   EXPECT_TRUE(res.per_iteration.back().approx_proved);
-
-  // Without the fallback the same configuration is Unknown.
-  opt.approx_fallback = false;
-  EXPECT_EQ(run_property(m, m.output("bad"), opt).verdict, Verdict::Unknown);
 }
 
 }  // namespace

@@ -355,21 +355,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
           << "checker accepted a holds witness for a violated property";
       EXPECT_EQ(rej.obligation, cert::kObligationSafety);
     }
-
-    // The proof-based shrink invariant: the grow/shrink loop must reach the
-    // same verdict as grow-only on every netlist it is sampled on, and any
-    // registers it drops must not cost the trace its replayability.
-    {
-      RfnOptions opt;
-      opt.proof_shrink = true;
-      opt.race_probe_time_s = 0.25;
-      const RfnResult res = run_property(m, bad, opt);
-      EXPECT_EQ(res.verdict, expect)
-          << "grow/shrink verdict diverged from grow-only; note: " << res.note;
-      if (res.verdict == Verdict::Fails)
-        EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T)
-            << "grow/shrink error trace does not replay";
-    }
   }
 }
 

@@ -207,18 +207,16 @@ TEST(Refine, ShrinkDropsNonCoreAndMarksSticky) {
 }
 
 TEST(Refine, ProofShrinkDropsRegistersOnProcessor) {
-  // The acceptance run: the processor mutex property refines through a
-  // dozen-plus iterations, and with proof_shrink the bounded-UNSAT cores
-  // demonstrably drop registers the proofs never touched — with the same
-  // final verdict. workers = 0 keeps the race order (and so the exact
-  // shrink count) deterministic.
+  // The acceptance run: without guided ATPG, SAT BMC settles every Step-3
+  // race, and the processor mutex property refines through dozens of
+  // iterations whose bounded-UNSAT cores demonstrably drop registers the
+  // proofs never touched — with the same final verdict.
   bool ok = false;
   Netlist m = designs::make_builtin("processor", &ok);
   ASSERT_TRUE(ok);
   const GateId bad = m.output("bad_mutex");
   RfnOptions opt;
   opt.engines = {"bdd", "sat"};
-  opt.proof_shrink = true;
   const RfnResult res = run_property(m, bad, opt);
   EXPECT_EQ(res.verdict, Verdict::Holds);
   size_t total_shrunk = 0;
@@ -230,8 +228,11 @@ TEST(Refine, ProofShrinkDropsRegistersOnProcessor) {
 
 TEST(Refine, ProofShrinkNeverFlipsVerdicts) {
   // The property-tested invariant: grow/shrink and grow-only agree on every
-  // verdict. Exercised on designs that refine (input-driven chains fail,
-  // constant chains hold) plus a builtin with a non-trivial CEGAR loop.
+  // verdict. Shrink needs a bounded-UNSAT core, which only a Step-3 race
+  // settled by SAT BMC yields; with the default lineup guided ATPG settles
+  // them and the loop only grows. Exercised on designs that refine
+  // (input-driven chains fail, constant chains hold) plus a builtin with a
+  // non-trivial CEGAR loop.
   struct Case {
     Netlist m;
     GateId bad;
@@ -257,7 +258,7 @@ TEST(Refine, ProofShrinkNeverFlipsVerdicts) {
   for (auto& c : cases) {
     RfnOptions grow_only;
     RfnOptions grow_shrink;
-    grow_shrink.proof_shrink = true;
+    grow_shrink.engines = {"bdd", "sat"};
     const RfnResult ra = run_property(c.m, c.bad, grow_only);
     const RfnResult rb = run_property(c.m, c.bad, grow_shrink);
     EXPECT_EQ(ra.verdict, rb.verdict);

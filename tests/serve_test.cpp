@@ -310,14 +310,16 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
   // Expected diagnostics by mutation index.
   std::vector<std::pair<size_t, std::string>> named = {
       {bad.size() - 1, "session.cluster-overlap"}};
-  {
-    // The engine-race worker count is retired too: races run in priority
-    // order on the run's own thread.
+  // Retired option keys: the engine-race worker count (races run in
+  // priority order on the run's own thread), and the shrink and fallback
+  // switches (both always run).
+  for (const char* retired : {"workers", "proof-shrink", "approx-fallback"}) {
     json::Value v = valid_request_doc();
     json::Value opts = json::Value::object();
-    opts.set("workers", 2.0);
+    opts.set(retired, 2.0);
     v.set("options", std::move(opts));
-    named.emplace_back(bad.size(), "unknown key 'options.workers'");
+    named.emplace_back(bad.size(),
+                       "unknown key 'options." + std::string(retired) + "'");
     bad.push_back(v);
   }
   // Counts must be whole numbers a size_t holds exactly.
@@ -890,24 +892,38 @@ TEST(ServeEndToEnd, CliRejectsInvalidCountFlags) {
       {"--batch", "--batch is gone: every run is a session"},
       {"--cert-out=x.json", "--cert-out is gone: use --cert-dir"},
       {"--aiger-witness=x.wit", "--aiger-witness is gone: use --witness-dir"},
+      {"--proof-shrink", "--proof-shrink is gone: shrink is always on"},
+      {"--no-approx", "--no-approx is gone: the fallback is always on"},
+      // A misspelled flag is not silently ignored.
+      {"--time-limt 5", "unknown flag --time-limt for verify"},
+      {"--signals a", "unknown flag --signals for verify"},
   };
   for (const auto& [flag, named] : cases)
     expect_exit(
         std::string(RFN_CLI_PATH) + " verify builtin:fifo --bad bad_full_q " +
             flag,
         2, {named});
+  expect_exit(std::string(RFN_CLI_PATH) +
+                  " coverage builtin:fifo --signals x --bad bad_full_q",
+              2, {"unknown flag --bad for coverage"});
 }
 
 TEST(ServeEndToEnd, CliRejectsInvalidEngineLists) {
-  // Invalid options fail before --trace-json creates its file.
+  // Invalid options fail before --trace-json creates its file. An unknown
+  // signal is found inside api::run_verify, after the file opened: it is
+  // removed, not left empty.
   const std::string trace = ::testing::TempDir() + "/bad-engines-" +
                             std::to_string(::getpid()) + ".jsonl";
-  for (const auto& [engines, named] : kBadEngines) {
-    expect_exit(std::string(RFN_CLI_PATH) +
-                    " verify builtin:fifo --bad bad_full_q --engine " +
-                    engines + " --trace-json " + trace,
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"--bad nosuch", "nosuch"}};
+  for (const auto& [engines, named] : kBadEngines)
+    cases.emplace_back("--bad bad_full_q --engine " + std::string(engines),
+                       named);
+  for (const auto& [flags, named] : cases) {
+    expect_exit(std::string(RFN_CLI_PATH) + " verify builtin:fifo " + flags +
+                    " --trace-json " + trace,
                 2, {named});
-    EXPECT_FALSE(std::ifstream(trace).good()) << "--engine " << engines;
+    EXPECT_FALSE(std::ifstream(trace).good()) << flags;
     std::remove(trace.c_str());
   }
 }

@@ -266,12 +266,14 @@ TEST(RunPropertyTest, SeedRegistersResumeFromRefinedAbstraction) {
   const Counter c = make_counter();
   const RfnResult first = run_property(c.n, c.bad_b);
   EXPECT_EQ(first.verdict, Verdict::Holds);
-  // A second run seeded with the refined set must reach the same verdict
-  // without shrinking the abstraction.
-  RunHooks hooks;
-  hooks.seed_registers = &first.final_registers;
-  const RfnResult second = run_property(c.n, c.bad_b, {}, hooks);
+  // A second run seeded with the refined set, as crucial-register hints of
+  // a reuse cache, must reach the same verdict without shrinking the
+  // abstraction.
+  ReuseCache cache;
+  cache.crucial_hints = first.final_registers;
+  const RfnResult second = run_property(c.n, c.bad_b, {}, &cache);
   EXPECT_EQ(second.verdict, Verdict::Holds);
+  EXPECT_EQ(second.seeded_registers, first.final_registers.size());
   EXPECT_GE(second.final_registers.size(), first.final_registers.size());
 }
 

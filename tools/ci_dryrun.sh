@@ -9,9 +9,12 @@
 #                                 one CI step against an existing build
 #                                 (BUILD_DIR relative to the repo root):
 #                                 the sanitize job's sat, pdr, certs,
-#                                 budget-out or mem-out, or the bench-gate
-#                                 job's run-traces or shipped. ci.yml calls
-#                                 these.
+#                                 tsan-suites, serve, budget-out or mem-out,
+#                                 the bench-gate job's run-traces, shipped,
+#                                 bench or prof-gate, the serve job's serve,
+#                                 or the corpus job's corpus. ci.yml calls
+#                                 every one of them; the job sections below
+#                                 call them too, so each is written once.
 #
 # Cells whose toolchain is absent locally (clang, ccache) are skipped with a
 # notice instead of failing: the hosted workflow installs them itself.
@@ -52,6 +55,36 @@ step_certs() { # witnesses of both polarities, each re-checked by rfn_check
       "$1/tools/rfn_check" "$cert" "builtin:$design"
     done
   done
+}
+
+# The concurrency suites, re-run by name under TSan so a test-discovery
+# hiccup can never silently drop them.
+step_tsan_suites() {
+  local t
+  for t in portfolio_test session_test netlist_fuzz_test trace_span_test \
+           prof_test sat_test serve_test pdr_test; do
+    "$1/tests/$t"
+  done
+}
+
+# rfn_serve booted for real: three tenants replayed through one connection.
+# The repeats must show warm_cache.hits > 0 (a resident server that reloads
+# cold every time is just a slow CLI), an oversubscribed request must be
+# rejected by name, and the captured session log is re-validated by
+# trace_report --serve. Under TSan the same boot watches the accept loop,
+# connection threads, fair-share queue, executor workers and warm-cache
+# lease hand-off, which all race by design.
+step_serve() {
+  local sock="/tmp/rfn-serve-$$.sock" serve_pid
+  "$1/tools/rfn_serve" --socket "$sock" --workers 2 --admit-mem-mb 512 &
+  serve_pid=$!
+  for _ in $(seq 100); do [[ -S "$sock" ]] && break; sleep 0.1; done
+  python3 tools/serve_replay.py --socket "$sock" \
+    --log "$1/serve-session.jsonl" --shutdown
+  wait "$serve_pid"
+  python3 tools/trace_report.py --serve "$1/serve-session.jsonl" \
+    | tee "$1/serve-report.txt"
+  grep -Eq 'warm_hits=[1-9]' "$1/serve-report.txt"
 }
 
 # Budgeted runs must degrade to resource-out — exit exactly 1, never a
@@ -117,13 +150,85 @@ step_shipped() {
   done
 }
 
+# A gate that cannot fail gates nothing: `rejects WHAT <gate command...>`
+# fails when the gate accepts the injected regression WHAT.
+rejects() {
+  local what=$1; shift
+  if "$@"; then
+    echo "ci_dryrun: gate accepted $what" >&2
+    return 1
+  fi
+}
+
+# Release bench run diffed against the checked-in BENCH_portfolio.json, then
+# a synthetic +25% regression must fail the same gate.
+step_bench() {
+  "$1/bench/micro_engines" --benchmark_filter='Portfolio|SatBmc' \
+    --json "$1/bench-current.json"
+  python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
+    --current "$1/bench-current.json"
+  python3 - "$1" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1] + "/bench-current.json"))
+for b in doc["benchmarks"]:
+    b["real_seconds_per_iter"] *= 1.25
+json.dump(doc, open(sys.argv[1] + "/bench-regressed.json", "w"))
+EOF
+  rejects "a 25% regression" python3 tools/bench_gate.py \
+    --baseline "$1/bench-current.json" --current "$1/bench-regressed.json"
+}
+
+# Subsystem peak bytes vs BENCH_prof.json. The arena capacities of this
+# profile are run-to-run identical, so the gate's 25% tolerance only absorbs
+# allocator doubling granularity, not noise; an injected byte regression
+# must fail it.
+step_prof_gate() {
+  "$1/tools/rfn" verify builtin:processor --bad bad_mutex \
+    --bad error_flag --engine bdd,sat --prof-json "$1/prof-current.json"
+  python3 tools/trace_report.py --prof "$1/prof-current.json"
+  python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
+    --prof-current "$1/prof-current.json"
+  python3 - "$1" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1] + "/prof-current.json"))
+bdd = doc["subsystems"]["bdd"]
+bdd["peak_bytes"] = int(bdd["peak_bytes"] * 1.5)
+json.dump(doc, open(sys.argv[1] + "/prof-regressed.json", "w"))
+EOF
+  rejects "an injected byte regression" python3 tools/bench_gate.py \
+    --prof-baseline BENCH_prof.json --prof-current "$1/prof-regressed.json"
+}
+
+# The committed AIGER corpus through batch sessions, every certificate
+# re-checked by rfn_check, the rfn-corpus-v2 summary schema-checked and
+# gated against the checked-in baseline (verdict flips, certification
+# regressions and missing entries fail; wall time, engine wins and the
+# per-file RSS/CPU fields do not); an injected verdict flip must fail it.
+step_corpus() {
+  python3 tools/corpus_run.py --cli "$1/tools/rfn" --check "$1/tools/rfn_check" \
+    --corpus tests/corpus --out "$1/corpus-current.json"
+  python3 tools/trace_report.py --corpus "$1/corpus-current.json"
+  python3 tools/bench_gate.py --corpus-baseline tests/corpus/baseline.json \
+    --corpus-current "$1/corpus-current.json"
+  python3 - "$1" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1] + "/corpus-current.json"))
+prop = doc["files"][0]["properties"][0]
+prop["verdict"] = "F" if prop["verdict"] == "T" else "T"
+json.dump(doc, open(sys.argv[1] + "/corpus-flipped.json", "w"))
+EOF
+  rejects "an injected verdict flip" python3 tools/bench_gate.py \
+    --corpus-baseline tests/corpus/baseline.json \
+    --corpus-current "$1/corpus-flipped.json"
+}
+
+STEPS="sat pdr certs tsan-suites serve budget-out mem-out run-traces shipped bench prof-gate corpus"
 if [[ "${1:-}" == "--step" ]]; then
-  case "${2:-}/$#" in
-    sat/3|pdr/3|certs/3|budget-out/3|mem-out/3|run-traces/3|shipped/3)
-      "step_${2//-/_}" "$3"; exit 0 ;;
-  esac
-  echo "usage: $0 --step sat|pdr|certs|budget-out|mem-out|run-traces|shipped" \
-       "BUILD_DIR" >&2
+  if [[ $# == 3 && " $STEPS " == *" $2 "* ]]; then
+    "step_${2//-/_}" "$3"
+    exit 0
+  fi
+  echo "usage: $0 --step ${STEPS// /|} BUILD_DIR" >&2
   exit 2
 fi
 
@@ -178,26 +283,9 @@ for san in "${sanitizers[@]}"; do
   step_certs "$dir"
   if [[ $san == thread ]]; then
     note "sanitize (thread): concurrency suites"
-    "./$dir/tests/portfolio_test"
-    "./$dir/tests/session_test"
-    "./$dir/tests/netlist_fuzz_test"
-    "./$dir/tests/trace_span_test"
-    "./$dir/tests/prof_test"
-    "./$dir/tests/sat_test"
-    "./$dir/tests/serve_test"
-    "./$dir/tests/pdr_test"
+    step_tsan_suites "$dir"
     note "sanitize (thread): serve daemon boot + replay"
-    # Accept loop, connection threads, fair-share queue, executor workers
-    # and the warm-cache lease hand-off all race by design — one
-    # instrumented boot + replay watches the lot end to end.
-    "./$dir/tools/rfn_serve" --socket "/tmp/rfn-tsan-$$.sock" \
-      --workers 2 --admit-mem-mb 512 &
-    serve_pid=$!
-    for _ in $(seq 100); do [[ -S "/tmp/rfn-tsan-$$.sock" ]] && break; sleep 0.1; done
-    python3 tools/serve_replay.py --socket "/tmp/rfn-tsan-$$.sock" \
-      --log "$dir/tsan-serve-session.jsonl" --shutdown
-    wait "$serve_pid"
-    python3 tools/trace_report.py --serve "$dir/tsan-serve-session.jsonl"
+    step_serve "$dir"
     note "sanitize (thread): budgeted resource-out run"
     step_budget_out "$dir"
     note "sanitize (thread): memory-budget resource-out run"
@@ -218,96 +306,20 @@ step_run_traces build-ci-bench
 note "bench-gate: verification of the shipped designs"
 step_shipped build-ci-bench
 
-./build-ci-bench/bench/micro_engines --benchmark_filter='Portfolio|SatBmc' \
-  --json build-ci-bench/bench-current.json
-python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
-  --current build-ci-bench/bench-current.json
+note "bench-gate: portfolio benches + gate self-check"
+step_bench build-ci-bench
+note "bench-gate: prof gate against BENCH_prof.json + self-check"
+step_prof_gate build-ci-bench
 
-# --- bench_gate self-check: a synthetic 25% regression must fail the gate ---
-note "bench-gate self-check (synthetic +25% regression must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/bench-current.json"))
-for b in doc["benchmarks"]:
-    b["real_seconds_per_iter"] *= 1.25
-json.dump(doc, open("build-ci-bench/bench-regressed.json", "w"))
-EOF
-if python3 tools/bench_gate.py --baseline build-ci-bench/bench-current.json \
-    --current build-ci-bench/bench-regressed.json; then
-  echo "ci_dryrun: bench_gate accepted a 25% regression" >&2
-  exit 1
-fi
-
-# --- prof gate: subsystem peak bytes vs BENCH_prof.json ---------------------
-# The arena capacities of this profile are run-to-run identical, so the gate's 25% tolerance only absorbs
-# allocator doubling granularity, not noise.
-note "bench-gate: prof gate against BENCH_prof.json"
-./build-ci-bench/tools/rfn verify builtin:processor --bad bad_mutex \
-  --bad error_flag --engine bdd,sat \
-  --prof-json build-ci-bench/prof-current.json
-python3 tools/trace_report.py --prof build-ci-bench/prof-current.json
-python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-  --prof-current build-ci-bench/prof-current.json
-
-note "prof gate self-check (injected byte regression must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/prof-current.json"))
-bdd = doc["subsystems"]["bdd"]
-bdd["peak_bytes"] = int(bdd["peak_bytes"] * 1.5)
-json.dump(doc, open("build-ci-bench/prof-regressed.json", "w"))
-EOF
-if python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-    --prof-current build-ci-bench/prof-regressed.json; then
-  echo "ci_dryrun: prof gate accepted an injected byte regression" >&2
-  exit 1
-fi
 # --- job: serve smoke -------------------------------------------------------
-# rfn_serve booted for real: three tenants replayed through one connection,
-# repeats proving warm_cache.hits > 0 (a resident server that reloads cold
-# every time is just a slow CLI), an oversubscribed request rejected by
-# name, and the captured session log re-validated by trace_report --serve.
 note "serve smoke"
 cmake --build build-ci-bench -j "$(nproc)" --target rfn_serve serve_test
 ./build-ci-bench/tests/serve_test
-./build-ci-bench/tools/rfn_serve --socket "/tmp/rfn-ci-$$.sock" \
-  --workers 2 --admit-mem-mb 512 &
-serve_pid=$!
-for _ in $(seq 100); do [[ -S "/tmp/rfn-ci-$$.sock" ]] && break; sleep 0.1; done
-python3 tools/serve_replay.py --socket "/tmp/rfn-ci-$$.sock" \
-  --log build-ci-bench/serve-session.jsonl --shutdown
-wait "$serve_pid"
-python3 tools/trace_report.py --serve build-ci-bench/serve-session.jsonl \
-  | tee build-ci-bench/serve-report.txt
-grep -Eq 'warm_hits=[1-9]' build-ci-bench/serve-report.txt
+step_serve build-ci-bench
 
 # --- job: corpus ------------------------------------------------------------
-# The committed AIGER corpus through batch sessions, every certificate
-# re-checked by rfn_check, the summary gated against the checked-in
-# baseline, then an injected verdict flip must fail the gate.
-note "corpus gate"
-python3 tools/corpus_run.py \
-  --cli build-ci-bench/tools/rfn --check build-ci-bench/tools/rfn_check \
-  --corpus tests/corpus --out build-ci-bench/corpus-current.json
-python3 tools/trace_report.py --corpus build-ci-bench/corpus-current.json
-python3 tools/bench_gate.py \
-  --corpus-baseline tests/corpus/baseline.json \
-  --corpus-current build-ci-bench/corpus-current.json
-
-note "corpus gate self-check (injected verdict flip must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/corpus-current.json"))
-prop = doc["files"][0]["properties"][0]
-prop["verdict"] = "F" if prop["verdict"] == "T" else "T"
-json.dump(doc, open("build-ci-bench/corpus-flipped.json", "w"))
-EOF
-if python3 tools/bench_gate.py \
-    --corpus-baseline tests/corpus/baseline.json \
-    --corpus-current build-ci-bench/corpus-flipped.json; then
-  echo "ci_dryrun: corpus gate accepted an injected verdict flip" >&2
-  exit 1
-fi
+note "corpus gate + self-check"
+step_corpus build-ci-bench
 
 echo
 echo "ci_dryrun: all jobs green"

@@ -21,9 +21,6 @@
 //                      (bdd, sat or pdr), are rejected up front. Only bdd
 //                      and pdr can prove HOLDS; a list without either can
 //                      only falsify.
-//   --proof-shrink     proof-based abstraction shrinking: drop included
-//                      registers a Step-3 bounded-UNSAT core never touched
-//                      (alternating grow/shrink; never changes a verdict)
 //   --pdr-max-frames N IC3/PDR frame bound per race (default 128)
 //   --pdr-time S       IC3/PDR wall budget per race (default 10, 0=unlimited)
 //   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED
@@ -36,7 +33,6 @@
 //   --cert-dir DIR     write each property's witness to
 //                      DIR/<property>.cert.json (implies --certify)
 //   --traces N         abstract traces per iteration (default 1)
-//   --no-approx        disable the overlapping-partition fallback
 //   --dump-trace       print the error trace of every VIOLATED property
 //   --top NAME         top module for multi-module Verilog
 //   --trace-json FILE  write the run's rfn-trace-v2 event trace as JSON
@@ -83,8 +79,13 @@
 //                         ("1\nb<k>\n<state>\n<inputs per cycle>...\n." for
 //                         VIOLATED, "0\nb<k>\n." for HOLDS)
 //
-// Retired flags (--batch, --cert-out, --aiger-witness, --workers) exit 2
-// naming their replacement.
+// Each command takes only its own flags (and --top/--aiger): any other
+// flag exits 2 naming it, so a misspelled flag never silently runs with its
+// default. Retired flags (--batch, --cert-out, --aiger-witness, --workers,
+// --proof-shrink, --no-approx) exit 2 naming their replacement. Proof-based
+// shrink runs whenever SAT BMC refutes an abstract trace with a
+// bounded-UNSAT core, and the overlapping-partition fallback whenever the
+// Step-2 race ends inconclusive.
 //
 // This binary is a thin flag → api::VerifyRequest translator: design
 // loading is api::load_design and every verify is one api::run_verify call
@@ -96,6 +97,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -218,7 +221,43 @@ constexpr std::pair<const char*, const char*> kRetiredFlags[] = {
     {"batch", "every run is a session; no flag is needed"},
     {"cert-out", "use --cert-dir DIR (writes DIR/<property>.cert.json)"},
     {"aiger-witness", "use --witness-dir DIR (writes DIR/<property>.wit)"},
+    {"proof-shrink",
+     "shrink is always on (whenever SAT BMC refutes an abstract trace)"},
+    {"no-approx",
+     "the fallback is always on (whenever the Step-2 race is inconclusive)"},
 };
+
+/// The flags of each command; every command also takes --top and --aiger,
+/// which shape loading.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"verify",
+     {"bad", "props", "time-limit", "engine", "pdr-max-frames", "pdr-time",
+      "certify", "cert-dir", "traces", "dump-trace", "trace-json",
+      "trace-spans", "budget-ms", "budget-bdd-nodes", "budget-mem-mb",
+      "prof-json", "prof-folded", "metrics", "session-workers",
+      "batch-budget-ms", "no-reuse", "witness-dir"}},
+    {"coverage", {"signals", "time-limit", "list-unreachable"}},
+    {"translate", {"format", "out"}},
+    {"stats", {}},
+};
+
+/// False (after naming it on stderr) when a flag is not one of `flags`: a
+/// retired flag names its replacement, any other is unknown.
+bool known_flags_only(const Options& opts, const std::string& command,
+                      const std::set<std::string>& flags) {
+  for (const std::string& key : opts.keys()) {
+    if (key == "top" || key == "aiger" || flags.count(key) > 0) continue;
+    for (const auto& [flag, replacement] : kRetiredFlags)
+      if (key == flag) {
+        std::fprintf(stderr, "rfn: --%s is gone: %s\n", flag, replacement);
+        return false;
+      }
+    std::fprintf(stderr, "rfn: unknown flag --%s for %s\n", key.c_str(),
+                 command.c_str());
+    return false;
+  }
+  return true;
+}
 
 /// Numeric flags parse strictly, through the --props parsers: negative,
 /// non-numeric or trailing text is a usage error naming the flag, never a
@@ -348,20 +387,13 @@ void print_report(const api::LoadedDesign& design, const Options& opts,
 }
 
 int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
-  for (const auto& [flag, replacement] : kRetiredFlags)
-    if (opts.has(flag)) {
-      std::fprintf(stderr, "rfn: --%s is gone: %s\n", flag, replacement);
-      return 2;
-    }
   // Flags → api::VerifyRequest: the same struct a server request parses to.
   api::VerifyRequest req;
   req.options.time_limit_s = 300.0;
   if (!parse_verify_flags(opts, &req)) return 2;
-  req.options.approx_fallback = !opts.get_bool("no-approx", false);
   // --prof-json wants the RSS timeline: the watchdog monitor thread samples
   // /proc/self/statm each poll even when no budget is set.
   req.options.sample_rss = !opts.get("prof-json", "").empty();
-  req.options.proof_shrink = opts.get_bool("proof-shrink", false);
   for (const std::string& list : opts.get_all("engine")) {
     std::stringstream es(list);
     std::string e;
@@ -432,6 +464,11 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
   if (!api::run_verify(design, req, trace_path.empty() ? nullptr : &file_sink,
                        /*stream_properties=*/false, nullptr, &out, &error)) {
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
+    // A usage error (an unknown signal) ran nothing: leave no empty trace.
+    if (!trace_path.empty()) {
+      trace_out.close();
+      std::remove(trace_path.c_str());
+    }
     return 2;
   }
   if (!prof.finish(out.baseline, out.seconds)) return 2;
@@ -493,6 +530,9 @@ int main(int argc, char** argv) {
   if (opts.positionals().size() < 2) return usage();
   const std::string& command = opts.positionals()[0];
   const std::string& path = opts.positionals()[1];
+  const auto flags = kCommandFlags.find(command);
+  if (flags == kCommandFlags.end()) return usage();
+  if (!known_flags_only(opts, command, flags->second)) return 2;
 
   api::DesignRef ref;
   ref.path = path;

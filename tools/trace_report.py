@@ -666,7 +666,7 @@ def print_iterations(iters):
               f"{r.get('seconds', 0.0):>9.3f}")
     shrunk = sum(r["refine"].get("shrunk_registers", 0) for r in iters)
     if shrunk:
-        print(f"  proof_shrink: dropped {shrunk:.0f} register(s) across "
+        print(f"  proof shrink: dropped {shrunk:.0f} register(s) across "
               f"{len(iters)} iteration(s)")
 
 
